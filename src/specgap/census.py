@@ -1,11 +1,14 @@
 """Census of connected graphs: enumeration, graph6 ingestion, statistics.
 
-The built-in enumerator sweeps every edge mask on up to 7 vertices and keeps
-the masks that are minimal over all vertex relabelings (canonical forms), so
-each isomorphism class appears exactly once.  Larger orders come either from
-graph6 files or from extend_census, which grows an order-m census to order
-m+1 by attaching a new vertex in every possible way (complete, because every
-connected graph has a non-cut vertex).
+Each isomorphism class is represented by its canonical graph: the smallest
+edge bitset over all vertex relabelings, found by an exact
+individualization-refinement search (labels assigned from the highest down,
+candidates restricted by an ordered partition of the unlabeled vertices).
+extend_census grows a complete order-m census to order m+1 by attaching a
+new vertex in every possible way and keeping one canonical graph per class
+(complete, because every connected graph has a non-cut vertex);
+enumerate_connected runs that extension from the one-vertex graph, up to
+order 7.  Larger orders come from graph6 files or from extend_census.
 
 run_census streams any graph source through a batched eigensolve and merges
 per-chunk moment accumulators in a fixed order, so results are identical for
@@ -15,7 +18,6 @@ any thread count.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 import math
 import os
@@ -60,117 +62,100 @@ class Graph6FileError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms via permutation bit-action tables
+# canonical forms by individualization-refinement
 
-def _perm_targets(m: int, perms: Sequence[Sequence[int]]) -> np.ndarray:
-    """(n_perms, n_pairs) array: where each pair bit lands under each perm."""
-    pairs = [(i, j) for j in range(1, m) for i in range(j)]
-    arr = np.asarray(perms, dtype=np.int64)
-    ii = arr[:, [i for i, _ in pairs]]
-    jj = arr[:, [j for _, j in pairs]]
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    return hi * (hi - 1) // 2 + lo
+def _canonical_mask(nb: Sequence[int]) -> int:
+    """Smallest edge bitset over all relabelings of the graph with these
+    per-vertex neighbor masks.
 
-
-class _BitActionTables:
-    """Permutation action on edge bitsets, 7 payload bits per lookup chunk.
-
-    tables[c][t, v] is the image of chunk value v (bits 7c..7c+6) under
-    permutation t, as a full-width mask; OR-ing chunk images gives the image
-    of a whole bitset.  Widths up to 31 pair bits fit uint32 (order <= 8).
+    Bits are column-major, so the column of the highest label outranks every
+    lower one.  Labels are handed out from the top down while an ordered
+    partition of the unlabeled vertices (cells low-to-high, each owning a
+    range of the remaining labels) records what the columns fixed so far
+    force.  The vertex for the next label comes from the top cell; its
+    column is smallest when its neighbors take the lowest labels of each
+    cell, so only its neighbor count per cell matters.  Every candidate
+    reaching the minimal column survives, and every cell then splits into
+    neighbors (below) and non-neighbors (above).  The search runs level by
+    level over all surviving partitions, so it is exact; partitions reached
+    twice are merged (the remaining columns depend on nothing else), and a
+    candidate whose twin (same neighbors apart from each other) was already
+    tried is skipped, since swapping twins is an automorphism that fixes the
+    partition.
     """
-
-    def __init__(self, m: int, perms: Sequence[Sequence[int]]) -> None:
-        n_pairs = pair_count(m)
-        if n_pairs > 31:
-            raise OrderTooLargeError("bit-action tables support order <= 8")
-        targets = _perm_targets(m, perms)
-        self.n_perms = targets.shape[0]
-        self.n_chunks = max(1, (n_pairs + 6) // 7)
-        self.tables: list[np.ndarray] = []
-        one = np.uint32(1)
-        for c in range(self.n_chunks):
-            width = min(7, n_pairs - 7 * c)
-            tbl = np.zeros((self.n_perms, 128), dtype=np.uint32)
-            contrib = [
-                np.left_shift(one, targets[:, 7 * c + s].astype(np.uint32))
-                for s in range(width)
-            ]
-            for v in range(1, 128):
-                s = (v & -v).bit_length() - 1
-                rest = v & (v - 1)
-                if s < width:
-                    tbl[:, v] = tbl[:, rest] | contrib[s]
-                else:
-                    tbl[:, v] = tbl[:, rest]
-            self.tables.append(tbl)
-
-    def apply_one(self, t: int, masks: np.ndarray) -> np.ndarray:
-        """Image of an array of bitsets under permutation t."""
-        out = self.tables[0][t][masks & 127]
-        for c in range(1, self.n_chunks):
-            out |= self.tables[c][t][(masks >> np.uint32(7 * c)) & 127]
-        return out
-
-    def orbit_min_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Minimum over all permutations, per mask (vectorized)."""
-        acc = self.tables[0][:, masks & 127]
-        for c in range(1, self.n_chunks):
-            acc |= self.tables[c][:, (masks >> np.uint32(7 * c)) & 127]
-        return acc.min(axis=0)
-
-
-_FULL_TABLES: dict[int, _BitActionTables] = {}
-_TRANS_TABLES: dict[int, _BitActionTables] = {}
-
-
-def _full_tables(m: int) -> _BitActionTables:
-    if m not in _FULL_TABLES:
-        if m > CANON_MAX_ORDER:
-            raise OrderTooLargeError(
-                f"canonical forms are supported up to order {CANON_MAX_ORDER}"
-            )
-        _FULL_TABLES[m] = _BitActionTables(
-            m, list(itertools.permutations(range(m)))
-        )
-    return _FULL_TABLES[m]
-
-
-def _transposition_tables(m: int) -> _BitActionTables:
-    if m not in _TRANS_TABLES:
-        perms = []
-        for a in range(m):
-            for b in range(a + 1, m):
-                p = list(range(m))
-                p[a], p[b] = b, a
-                perms.append(p)
-        _TRANS_TABLES[m] = _BitActionTables(m, perms)
-    return _TRANS_TABLES[m]
+    m = len(nb)
+    states = {((1 << m) - 1,)}
+    out = 0
+    for k in range(m - 1, 0, -1):
+        best = -1
+        survivors: set[tuple[int, ...]] = set()
+        for cells in states:
+            top = cells[-1]
+            tried: list[int] = []
+            rest = top
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                nu = nb[u]
+                if any(nu & ~(1 << w) == nb[w] & ~low for w in tried):
+                    continue
+                tried.append(u)
+                col = 0
+                base = 0
+                split: list[int] = []
+                for cell in cells[:-1] + (top ^ low,):
+                    if not cell:
+                        continue
+                    inner = cell & nu
+                    col |= ((1 << inner.bit_count()) - 1) << base
+                    base += cell.bit_count()
+                    if inner:
+                        split.append(inner)
+                    if inner != cell:
+                        split.append(cell ^ inner)
+                if best < 0 or col < best:
+                    best = col
+                    survivors = {tuple(split)}
+                elif col == best:
+                    survivors.add(tuple(split))
+        out |= best << (k * (k - 1) // 2)
+        states = survivors
+    return out
 
 
 def canonical_bits(g: Graph) -> int:
-    """Smallest edge bitset over all relabelings of g (order <= 8)."""
-    if g.order == 1:
-        return 0
-    tables = _full_tables(g.order)
-    return int(tables.orbit_min_batch(np.asarray([g.bits], dtype=np.uint32))[0])
+    """Smallest edge bitset over all relabelings of g (order <= 8).
+
+    Computed by the exact refinement search of _canonical_mask.
+    """
+    if g.order > CANON_MAX_ORDER:
+        raise OrderTooLargeError(
+            f"canonical forms are supported up to order {CANON_MAX_ORDER}"
+        )
+    return _canonical_mask(g.neighbor_masks())
 
 
-def _canonical_of_masks(m: int, masks: np.ndarray, batch: int = 256) -> np.ndarray:
-    tables = _full_tables(m)
-    out = np.empty_like(masks)
-    for start in range(0, masks.size, batch):
-        sl = masks[start:start + batch]
-        out[start:start + batch] = tables.orbit_min_batch(sl)
-    return out
+def _extend(graphs: Sequence[Graph]) -> list[Graph]:
+    """Canonical classes of every one-vertex extension, ascending bits."""
+    m = graphs[0].order
+    new = 1 << m
+    classes: set[int] = set()
+    for g in graphs:
+        nb = g.neighbor_masks()
+        for attach in range(1, new):
+            cand = [x | new if attach >> i & 1 else x for i, x in enumerate(nb)]
+            cand.append(attach)
+            classes.add(_canonical_mask(cand))
+    return [Graph(m + 1, b) for b in sorted(classes)]
 
 
 def enumerate_connected(m: int) -> list[Graph]:
     """All connected graphs on m vertices, one canonical graph per class.
 
-    Returned in ascending bitset order.  Capped at order 7 (2^21 edge masks);
-    larger orders must come from files or extend_census.
+    Built by extending the one-vertex graph one vertex at a time (see
+    extend_census) and returned in ascending bitset order.  Capped at order
+    7; larger orders must come from files or extend_census.
     """
     if m < 1:
         raise ValueError("order must be positive")
@@ -178,27 +163,20 @@ def enumerate_connected(m: int) -> list[Graph]:
         raise OrderTooLargeError(
             f"exhaustive enumeration is capped at order {ENUM_MAX_ORDER}"
         )
-    if m == 1:
-        return [Graph(1, 0)]
-
-    masks = np.arange(1 << pair_count(m), dtype=np.uint32)
-    trans = _transposition_tables(m)
-    keep = np.ones(masks.size, dtype=bool)
-    for t in range(trans.n_perms):
-        np.logical_and(keep, masks <= trans.apply_one(t, masks), out=keep)
-    cand = masks[keep]
-    canon = cand[_canonical_of_masks(m, cand) == cand]
-    graphs = (Graph(m, int(b)) for b in canon)
-    return [g for g in graphs if is_connected(g)]
+    graphs = [Graph(1, 0)]
+    for _ in range(m - 1):
+        graphs = _extend(graphs)
+    return graphs
 
 
 def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
     """Grow a complete order-m census to order m+1 (canonical, connected).
 
-    Attaches a new highest-numbered vertex to every nonempty neighborhood of
-    every input graph, then canonicalizes and dedupes.  Complete because
-    deleting a non-cut vertex of any connected graph lands back in the
-    order-m census.
+    Attaches a new vertex to every nonempty neighborhood of every input
+    graph, puts each candidate in canonical form (the smallest edge bitset
+    over all relabelings, found by refinement search) and dedupes; the
+    result is in ascending bitset order.  Complete because deleting a
+    non-cut vertex of any connected graph lands back in the order-m census.
     """
     if not graphs:
         raise EmptySourceError("no graphs to extend")
@@ -209,17 +187,7 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
         raise OrderTooLargeError(
             f"extension needs canonical forms beyond order {CANON_MAX_ORDER}"
         )
-    base = pair_count(m)
-    cands = np.asarray(
-        [
-            g.bits | (attach << base)
-            for g in graphs
-            for attach in range(1, 1 << m)
-        ],
-        dtype=np.uint32,
-    )
-    canon = np.unique(_canonical_of_masks(m + 1, cands))
-    return [Graph(m + 1, int(b)) for b in canon]
+    return _extend(graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +285,8 @@ def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     n = len(graphs)
     mats = np.zeros((n, m, m))
     pairs = [(i, j) for j in range(1, m) for i in range(j)]
-    iu = np.asarray([i for i, _ in pairs])
-    ju = np.asarray([j for _, j in pairs])
+    iu = np.asarray([i for i, _ in pairs], dtype=np.intp)
+    ju = np.asarray([j for _, j in pairs], dtype=np.intp)
     if n_pairs <= 63:
         bits = np.asarray([g.bits for g in graphs], dtype=np.uint64)
         cols = (bits[:, None] >> np.arange(n_pairs, dtype=np.uint64)) & np.uint64(1)

@@ -5,7 +5,7 @@ one library entry point, print with a fixed format (floats always carry six
 decimals so output is byte-stable across runs).
 
 Exit codes: 0 success, 1 a verification suite found a counterexample,
-2 usage or input errors.
+2 usage or input errors, and also any unexpected internal error.
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             multipartite.SearchBudgetExceededError,
             InvalidParamsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # never let a bug pass for a counterexample (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

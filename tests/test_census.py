@@ -1,10 +1,15 @@
 """Canonical enumeration, graph6 ingest, streaming census, CSV output."""
 
+import functools
+import hashlib
+import itertools
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specgap import census, eigen, graph6
 from specgap.census import (
@@ -24,7 +29,19 @@ from specgap.census import (
     write_histogram_csvs,
     write_stats_csv,
 )
-from specgap.graphs import Graph, complete, is_connected, path, relabel, star
+from specgap.graphs import (
+    Graph,
+    complete,
+    complete_multipartite,
+    cycle,
+    from_edges,
+    is_connected,
+    pair_count,
+    pair_index,
+    path,
+    relabel,
+    star,
+)
 from specgap.indices import compute_indices
 
 
@@ -61,6 +78,109 @@ def test_enumeration_order_cap():
         enumerate_connected(8)
     with pytest.raises(OrderTooLargeError):
         canonical_bits(Graph(9, 0))
+    with pytest.raises(OrderTooLargeError):
+        extend_census([Graph(8, 1)])
+
+
+# ---------------------------------------------------------------------------
+# canonical forms against a brute-force oracle
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_pair_targets(m):
+    """(m!, pairs) array: where each pair bit lands under each relabeling."""
+    pairs = [(i, j) for j in range(1, m) for i in range(j)]
+    return np.asarray(
+        [[pair_index(p[i], p[j]) for i, j in pairs]
+         for p in itertools.permutations(range(m))],
+        dtype=np.int64,
+    ).reshape(-1, len(pairs))
+
+
+def _oracle(m, bits):
+    """Smallest edge bitset over all m! relabelings, by brute force."""
+    present = [b for b in range(pair_count(m)) if bits >> b & 1]
+    if not present:
+        return 0
+    images = (np.int64(1) << _perm_pair_targets(m)[:, present]).sum(axis=1)
+    return int(images.min())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_canonical_bits_matches_oracle_exhaustively(m):
+    for bits in range(1 << pair_count(m)):
+        assert canonical_bits(Graph(m, bits)) == _oracle(m, bits), bits
+
+
+@pytest.mark.parametrize("m,count", [(6, 300), (7, 200), (8, 200)])
+def test_canonical_bits_matches_oracle_on_random_masks(m, count):
+    rng = np.random.default_rng(1000 + m)
+    for bits in rng.integers(0, 1 << pair_count(m), size=count).tolist():
+        assert canonical_bits(Graph(m, bits)) == _oracle(m, bits), bits
+
+
+def _cube():
+    return from_edges(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3)
+                          if u < u ^ (1 << b)])
+
+
+@pytest.mark.parametrize("name,g", [
+    ("empty", Graph(8, 0)),
+    ("K8", complete(8)),
+    ("K4,4", complete_multipartite([4, 4])),
+    ("Q3", _cube()),
+    ("K2,2,2,2", complete_multipartite([2, 2, 2, 2])),
+    ("C8", cycle(8)),
+    ("C8 complement", cycle(8).complement()),
+])
+def test_canonical_bits_symmetric_order8(name, g):
+    want = _oracle(8, g.bits)
+    assert canonical_bits(g) == want
+    perm = np.random.default_rng(8).permutation(8).tolist()
+    assert canonical_bits(relabel(g, perm)) == want
+
+
+@st.composite
+def _graph_and_perm(draw):
+    m = draw(st.integers(1, 8))
+    bits = draw(st.integers(0, (1 << pair_count(m)) - 1))
+    return Graph(m, bits), draw(st.permutations(range(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_perm())
+def test_canonical_bits_properties(case):
+    g, perm = case
+    c = canonical_bits(g)
+    assert canonical_bits(relabel(g, perm)) == c
+    assert canonical_bits(Graph(g.order, c)) == c
+    assert c <= g.bits
+
+
+# sha256 prefixes of the comma-joined enumeration bits, as a min over all m!
+# relabelings picks them: the representative convention must not drift
+_ENUM_DIGESTS = {
+    1: "5feceb66ffc86f38", 2: "6b86b273ff34fce1", 3: "adc0d2b391a5218d",
+    4: "e5bdfdbb43507245", 5: "d8a8c53243f49444", 6: "b77180fea051a59f",
+    7: "436de30d73f530b9",
+}
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_enumeration_is_the_canonical_connected_set(m):
+    graphs = enumerate_connected(m)
+    bits = [g.bits for g in graphs]
+    assert bits == sorted(set(bits))
+    assert all(is_connected(g) and canonical_bits(g) == g.bits for g in graphs)
+    if m <= 5:
+        assert set(bits) == {
+            _oracle(m, b) for b in range(1 << pair_count(m))
+            if is_connected(Graph(m, b))
+        }
+    else:  # distinct canonical connected classes, as many as there are
+        assert len(bits) == KNOWN_CONNECTED_COUNTS[m]
+    text = ",".join(str(b) for b in bits)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _ENUM_DIGESTS[m]
 
 
 def test_canonical_bits_is_isomorphism_invariant():
@@ -77,7 +197,6 @@ def test_canonical_bits_is_isomorphism_invariant():
 def test_canonical_bits_distinguishes():
     assert canonical_bits(path(4)) != canonical_bits(star(4))
     # two non-isomorphic trees sharing the degree sequence [3,2,2,1,1,1]
-    from specgap.graphs import from_edges
     t1 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
     t2 = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
     assert sorted(t1.degrees()) == sorted(t2.degrees())

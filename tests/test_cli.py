@@ -159,3 +159,30 @@ def test_adapter_matches_library(capsys):
     vals = eigen.spectrum(graph6.decode("DQc"))
     printed = [float(tok) for tok in out.splitlines()[1].split()[1:]]
     assert printed == pytest.approx(vals, abs=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--order", "1", "--threads", "1"),
+    ("extremal", "--order", "1", "--index", "gap", "--dir", "min"),
+    ("census", "--file", "ONE_VERTEX", "--threads", "1"),
+])
+def test_order_one_is_a_typed_error(capsys, tmp_path, argv):
+    one = tmp_path / "one.g6"
+    one.write_text("@\n")
+    argv = [str(one) if a == "ONE_VERTEX" else a for a in argv]
+    if argv[0] == "census":
+        argv += ["--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_not_exit_one(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_spectrum", boom)
+    code, _, err = run(capsys, "spectrum", "Bw")
+    assert code == 2
+    assert err.strip() == "internal error: RuntimeError: boom"
