@@ -5,6 +5,8 @@ provides closed-form spectra for complete multipartite graphs and for
 balanced complete bipartite graphs with one edge removed or added, checks
 the associated eigenvalue bounds, and runs exhaustive small-order censuses
 with streaming statistics.
+
+The imports below are the package's public names.
 """
 
 from .graphs import (
@@ -52,7 +54,6 @@ from .indices import (
     StatsSummary,
     compute_indices,
     indices_batch,
-    stats_merge,
 )
 from .multipartite import (
     AnalyticSpectrum,
@@ -88,8 +89,6 @@ from .census import (
     ENUM_MAX_ORDER,
     KNOWN_CONNECTED_COUNTS,
     CensusReport,
-    ClassicalCheck,
-    ClassicalReport,
     EmptySourceError,
     ExtremalResult,
     Graph6FileError,
@@ -102,105 +101,9 @@ from .census import (
     extend_census,
     extremal,
     run_census,
-    verify_classical_extremes,
     write_histogram_csvs,
     write_stats_csv,
 )
 from .verify import CHECK_NAMES, SuiteResult, partitions, run_check
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Graph",
-    "InvalidParamsError",
-    "bipartition",
-    "complete",
-    "complete_multipartite",
-    "construct",
-    "cycle",
-    "detect_complete_multipartite",
-    "from_edges",
-    "is_connected",
-    "kmm_minus_e",
-    "kmm_plus_e",
-    "pair_count",
-    "pair_index",
-    "path",
-    "relabel",
-    "star",
-    "Graph6Error",
-    "InvalidCharError",
-    "NonzeroPaddingError",
-    "TruncatedPayloadError",
-    "decode",
-    "encode",
-    "NonConvergenceError",
-    "default_zero_tol",
-    "eigensystem",
-    "eigvals_symmetric",
-    "nullity",
-    "spectra_batch",
-    "spectrum",
-    "INDEX_NAMES",
-    "DegenerateSpectrumError",
-    "IndexStats",
-    "InsufficientDataError",
-    "SpectralIndices",
-    "StatsSummary",
-    "compute_indices",
-    "indices_batch",
-    "stats_merge",
-    "AnalyticSpectrum",
-    "BipartiteBoundReport",
-    "ConeReport",
-    "DegenerateEigenvectorError",
-    "DensityWitness",
-    "InvalidOrderError",
-    "InvalidPartitionError",
-    "MultipartiteBoundsReport",
-    "NonMultipartiteBoundsReport",
-    "NotApplicableError",
-    "PendantReport",
-    "PoleInputError",
-    "SearchBudgetExceededError",
-    "SpectrumEntry",
-    "approx_connected_count",
-    "bipartite_gap_bound",
-    "cone_lambda_max_bound",
-    "density_search",
-    "dispersion_sum",
-    "kmm_minus_e_spectrum",
-    "kmm_plus_e_spectrum",
-    "multipartite_bounds_check",
-    "multipartite_spectrum",
-    "nonmultipartite_bounds_check",
-    "pendant_lambda_min_bound",
-    "reduced_part_matrix",
-    "tripartite_roots",
-    "CANON_MAX_ORDER",
-    "ENUM_MAX_ORDER",
-    "KNOWN_CONNECTED_COUNTS",
-    "CensusReport",
-    "ClassicalCheck",
-    "ClassicalReport",
-    "EmptySourceError",
-    "ExtremalResult",
-    "Graph6FileError",
-    "Graph6Source",
-    "Histogram",
-    "MixedOrdersError",
-    "OrderTooLargeError",
-    "canonical_bits",
-    "enumerate_connected",
-    "extend_census",
-    "extremal",
-    "run_census",
-    "verify_classical_extremes",
-    "write_histogram_csvs",
-    "write_stats_csv",
-    "CHECK_NAMES",
-    "SuiteResult",
-    "partitions",
-    "run_check",
-    "cli",
-]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -254,10 +253,6 @@ class Histogram:
         for b, c in other.counts.items():
             self.counts[b] = self.counts.get(b, 0) + c
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def rows(self) -> list[tuple[float, float, int]]:
         return [
             (b * self.width, (b + 1) * self.width, self.counts[b])
@@ -392,7 +387,7 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# extremal queries and the classical extreme-value checks
+# extremal queries
 
 @dataclass(frozen=True)
 class ExtremalResult:
@@ -424,112 +419,12 @@ def extremal(source: Iterable[Graph], index: str, direction: str,
     )
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.bits == (1 << pair_count(g.order)) - 1
-
-
-def _is_path(g: Graph) -> bool:
-    if g.order == 1:
-        return True
-    degs = sorted(g.degrees())
-    return (is_connected(g)
-            and degs == [1, 1] + [2] * (g.order - 2))
-
-
-def _is_star(g: Graph) -> bool:
-    if g.order <= 2:
-        return _is_complete(g)
-    degs = sorted(g.degrees())
-    return degs == [1] * (g.order - 1) + [g.order - 1]
-
-
-def _is_balanced_complete_bipartite(g: Graph) -> bool:
-    from .graphs import detect_complete_multipartite
-
-    parts = detect_complete_multipartite(g)
-    m = g.order
-    return parts == tuple(sorted((m // 2, m - m // 2)))
-
-
-@dataclass(frozen=True)
-class ClassicalCheck:
-    name: str
-    expected: float
-    actual: float
-    value_ok: bool
-    witness_ok: bool
-    counterexample: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.value_ok and self.witness_ok
-
-
-@dataclass(frozen=True)
-class ClassicalReport:
-    order: int
-    checks: tuple[ClassicalCheck, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_classical_extremes(m: int, graphs: Iterable[Graph] | None = None,
-                              tol: float = 1e-8) -> ClassicalReport:
-    """Check the textbook extreme values over a full order-m census.
-
-    Each check pins the extreme value, requires the unique witness the
-    classical result names, and reports the first offending graph6 string
-    otherwise.  ``graphs`` defaults to the built-in enumeration.
-    """
-    if graphs is None:
-        graphs = enumerate_connected(m)
-    report = run_census(graphs)
-    if report.order != m:
-        raise MixedOrdersError(f"census order {report.order}, expected {m}")
-
-    specs = [
-        ("max lambda_max", "lambda_max", "max", float(m - 1), _is_complete),
-        ("min lambda_max", "lambda_max", "min",
-         2.0 * math.cos(math.pi / (m + 1.0)), _is_path),
-        ("min lambda_min", "lambda_min", "min",
-         -math.sqrt((m // 2) * (m - m // 2)), _is_balanced_complete_bipartite),
-        ("max lambda_min", "lambda_min", "max", -1.0, _is_complete),
-        ("min pow", "pow", "min", 2.0 * math.sqrt(m - 1.0), _is_star),
-    ]
-    checks = []
-    for name, index, direction, expected, predicate in specs:
-        summary = report.stats[index].finalize()
-        if direction == "max":
-            actual, wits, over = (summary.maximum, summary.max_witnesses,
-                                  summary.max_overflow)
-        else:
-            actual, wits, over = (summary.minimum, summary.min_witnesses,
-                                  summary.min_overflow)
-        value_ok = actual is not None and abs(actual - expected) <= tol
-        counterexample = None
-        witness_ok = len(wits) == 1 and over == 0
-        if not witness_ok and wits:
-            counterexample = wits[-1]
-        elif witness_ok and not predicate(graph6.decode(wits[0])):
-            witness_ok = False
-            counterexample = wits[0]
-        checks.append(ClassicalCheck(
-            name=name,
-            expected=expected,
-            actual=actual if actual is not None else math.nan,
-            value_ok=value_ok,
-            witness_ok=witness_ok,
-            counterexample=counterexample,
-        ))
-    return ClassicalReport(order=m, checks=tuple(checks))
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 
-def _fmt(value: float | None) -> str:
+def format_float(value: float | None) -> str:
+    """Six decimals, no negative zero, empty for a missing value; the one
+    float format of stats.csv and the CLI."""
     if value is None:
         return ""
     out = f"{value:.6f}"
@@ -545,8 +440,9 @@ def write_stats_csv(report: CensusReport, path: str | os.PathLike[str]) -> None:
         for name in INDEX_NAMES:
             s = report.stats[name].finalize()
             w.writerow([
-                name, s.count, _fmt(s.mean), _fmt(s.std), _fmt(s.skewness),
-                _fmt(s.kurtosis), _fmt(s.minimum), _fmt(s.maximum),
+                name, s.count,
+                *map(format_float, (s.mean, s.std, s.skewness, s.kurtosis,
+                                    s.minimum, s.maximum)),
                 ";".join(s.min_witnesses), ";".join(s.max_witnesses),
             ])
 

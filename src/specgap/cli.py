@@ -5,7 +5,8 @@ one library entry point, print with a fixed format (floats always carry six
 decimals so output is byte-stable across runs).
 
 Exit codes: 0 success, 1 a verification suite found a counterexample,
-2 usage or input errors, and also any unexpected internal error.
+2 usage or input errors (a suite that found nothing to check among them),
+and also any unexpected internal error.
 """
 
 from __future__ import annotations
@@ -18,19 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from . import census, eigen, graph6, multipartite, verify
+from .census import format_float
 from .graphs import InvalidParamsError, construct
 from .indices import INDEX_NAMES, compute_indices
-
-
-def _f(value: float) -> str:
-    out = f"{value:.6f}"
-    return "0.000000" if out == "-0.000000" else out
 
 
 def _print_analytic(spec: multipartite.AnalyticSpectrum) -> None:
     print("value\tmult\tprovenance")
     for e in spec.entries:
-        print(f"{_f(e.value)}\t{e.multiplicity}\t{e.provenance}")
+        print(f"{format_float(e.value)}\t{e.multiplicity}\t{e.provenance}")
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +37,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     g = graph6.decode(args.graph)
     vals = eigen.spectrum(g)
     print(f"order {g.order} edges {g.edge_count}")
-    print("spectrum " + " ".join(_f(v) for v in vals))
+    print("spectrum " + " ".join(format_float(v) for v in vals))
     print(f"nullity {eigen.nullity(vals, args.zero_tol)}")
     return 0
 
@@ -49,9 +46,9 @@ def _cmd_indices(args: argparse.Namespace) -> int:
     g = graph6.decode(args.graph)
     idx = compute_indices(eigen.spectrum(g), args.zero_tol)
     for name in ("lambda_max", "lambda_min", "lambda_plus", "lambda_minus"):
-        print(f"{name} {_f(getattr(idx, name))}")
+        print(f"{name} {format_float(getattr(idx, name))}")
     for name in ("gap", "ind", "pow"):
-        print(f"{name} {_f(idx.by_name(name))}")
+        print(f"{name} {format_float(idx.by_name(name))}")
     return 0
 
 
@@ -68,12 +65,13 @@ def _cmd_multipartite(args: argparse.Namespace) -> int:
     if args.mode in ("analytic", "both"):
         _print_analytic(spec)
     if args.mode in ("numeric", "both"):
-        print("numeric " + " ".join(_f(v) for v in dense))
+        print("numeric " + " ".join(format_float(v) for v in dense))
     if args.mode == "both":
         dev = float(np.max(np.abs(spec.values() - dense)))
         print(f"max_deviation {dev:.3e}")
     idx = spec.indices()
-    print(f"gap {_f(idx.gap)} ind {_f(idx.ind)} pow {_f(idx.power)}")
+    print(f"gap {format_float(idx.gap)} ind {format_float(idx.ind)} "
+          f"pow {format_float(idx.power)}")
     return 0
 
 
@@ -87,7 +85,8 @@ def _cmd_perturbed(args: argparse.Namespace) -> int:
         raise InvalidParamsError(f"unknown perturbation family {args.family!r}")
     _print_analytic(spec)
     idx = spec.indices()
-    print(f"gap {_f(idx.gap)} ind {_f(idx.ind)} pow {_f(idx.power)}")
+    print(f"gap {format_float(idx.gap)} ind {format_float(idx.ind)} "
+          f"pow {format_float(idx.power)}")
     print(f"gap_limit_residual {abs(idx.gap - 2.0):.6e}")
     if family == "kmm_plus_e":
         print(f"ind_limit_residual {abs(idx.ind - 1.0):.6e}")
@@ -113,10 +112,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
           f"rejected_disconnected {report.rejected_disconnected}")
     for name in INDEX_NAMES:
         s = report.stats[name].finalize()
-        mean = _f(s.mean) if s.mean is not None else "-"
-        std = _f(s.std) if s.std is not None else "-"
+        mean = format_float(s.mean) if s.mean is not None else "-"
+        std = format_float(s.std) if s.std is not None else "-"
         print(f"{name} mean {mean} std {std} "
-              f"min {_f(s.minimum)} max {_f(s.maximum)}")
+              f"min {format_float(s.minimum)} max {format_float(s.maximum)}")
     print(f"wrote {stats_path} and {len(hist_paths)} histogram files")
     return 0
 
@@ -126,11 +125,12 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
     result = census.extremal(
         _census_source(args), name, args.dir, zero_tol=args.zero_tol
     )
-    print(f"{result.direction} {result.index} {_f(result.value)} "
+    print(f"{result.direction} {result.index} {format_float(result.value)} "
           f"over {result.count} graphs")
     for w in result.witnesses:
         spec = eigen.spectrum(graph6.decode(w))
-        print(f"witness {w} spectrum " + " ".join(_f(v) for v in spec))
+        print(f"witness {w} spectrum "
+              + " ".join(format_float(v) for v in spec))
     if result.overflow:
         print(f"witness_overflow {result.overflow}")
     return 0
@@ -144,13 +144,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if result.failures:
         print(f"first_counterexample {result.failures[0]}")
         return 1
+    if not result.checked:
+        # nothing was checked, so nothing was refuted either: not exit 1
+        print(f"error: {result.name} found no case to check at order "
+              f"{args.order}", file=sys.stderr)
+        return 2
     return 0
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
     w = multipartite.density_search(args.delta, args.gamma)
-    print(f"m1 {w.m1} m2 {w.m2} order {w.order} gap {_f(w.gap)}")
-    print(f"window [{_f(w.order - args.gamma)}, {_f(w.order - args.delta)}]")
+    print(f"m1 {w.m1} m2 {w.m2} order {w.order} gap {format_float(w.gap)}")
+    print(f"window [{format_float(w.order - args.gamma)}, "
+          f"{format_float(w.order - args.delta)}]")
     return 0
 
 
@@ -251,12 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("give exactly one of --order or --file")
     try:
         return args.fn(args)
-    except (graph6.Graph6Error, census.Graph6FileError, census.OrderTooLargeError,
-            census.MixedOrdersError, census.EmptySourceError,
-            multipartite.InvalidPartitionError, multipartite.InvalidOrderError,
-            multipartite.NotApplicableError, multipartite.PoleInputError,
-            multipartite.SearchBudgetExceededError,
-            InvalidParamsError, ValueError, OSError) as exc:
+    except (ValueError, OSError, multipartite.SearchBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never let a bug pass for a counterexample (1)

@@ -125,73 +125,65 @@ class _Extremum:
     ``sign`` is +1 when minimizing, -1 when maximizing; internally the best
     key sign*value is minimized either way.  The retained witnesses are the
     lexicographically smallest (key, label) pairs among all offers that
-    still qualify, so the result does not depend on arrival order.
-    ``overflow`` counts qualifying labeled offers that the cap discarded.
+    still qualify, so the result does not depend on arrival order.  The
+    keys of qualifying labeled offers that the cap discarded are kept in
+    ``dropped``, so a later, lower best can drop the ones it leaves behind.
     """
 
-    __slots__ = ("sign", "best", "entries", "overflow")
+    __slots__ = ("sign", "best", "entries", "dropped")
 
     def __init__(self, sign: int) -> None:
         self.sign = sign
         self.best: float | None = None
         self.entries: list[tuple[float, str]] = []
-        self.overflow = 0
+        self.dropped: list[float] = []
 
     @property
     def value(self) -> float | None:
         return None if self.best is None else self.sign * self.best
 
+    @property
+    def overflow(self) -> int:
+        """Qualifying labeled offers that the cap discarded."""
+        return len(self.dropped)
+
     def _rebase(self, key: float) -> None:
-        if self.best is not None and key + WITNESS_BAND < self.best:
-            # every previously overflowed offer sat above the new band
-            self.overflow = 0
+        if self.best is not None and key >= self.best:
+            return
         self.best = key
         cut = key + WITNESS_BAND
         self.entries = [e for e in self.entries if e[0] <= cut]
+        self.dropped = [k for k in self.dropped if k <= cut]
 
-    def offer(self, value: float, label: str | None) -> None:
-        key = self.sign * value
-        if self.best is None or key < self.best:
-            self._rebase(key)
-        if label is None or key > self.best + WITNESS_BAND:
+    def _insert(self, key: float, label: str) -> None:
+        if key > self.best + WITNESS_BAND:
             return
         entry = (key, label)
         if len(self.entries) < WITNESS_CAP:
             bisect.insort(self.entries, entry)
         elif entry < self.entries[-1]:
             bisect.insort(self.entries, entry)
-            self.entries.pop()
-            self.overflow += 1
+            self.dropped.append(self.entries.pop()[0])
         else:
-            self.overflow += 1
+            self.dropped.append(key)
+
+    def offer(self, value: float, label: str | None) -> None:
+        key = self.sign * value
+        self._rebase(key)
+        if label is not None:
+            self._insert(key, label)
 
     def absorb(self, other: "_Extremum") -> None:
         if other.best is None:
             return
-        if self.best is None or other.best < self.best:
-            self._rebase(other.best)
-        if other.best <= self.best + WITNESS_BAND:
-            self.overflow += other.overflow
+        self._rebase(other.best)
         for key, label in other.entries:
-            if key <= self.best + WITNESS_BAND:
-                if len(self.entries) < WITNESS_CAP:
-                    bisect.insort(self.entries, (key, label))
-                elif (key, label) < self.entries[-1]:
-                    bisect.insort(self.entries, (key, label))
-                    self.entries.pop()
-                    self.overflow += 1
-                else:
-                    self.overflow += 1
+            self._insert(key, label)
+        cut = self.best + WITNESS_BAND
+        self.dropped.extend(k for k in other.dropped if k <= cut)
 
     def witnesses(self) -> tuple[str, ...]:
         return tuple(label for _, label in self.entries)
-
-    def copy(self) -> "_Extremum":
-        dup = _Extremum(self.sign)
-        dup.best = self.best
-        dup.entries = list(self.entries)
-        dup.overflow = self.overflow
-        return dup
 
 
 @dataclass(frozen=True)
@@ -260,8 +252,7 @@ class IndexStats:
         self._max.offer(value, witness)
 
     def update_many(self, values: np.ndarray,
-                    witness_for: Callable[[int], str] | Sequence[str] | None = None
-                    ) -> None:
+                    witness_for: Callable[[int], str] | None = None) -> None:
         """Add a chunk of observations at once.
 
         ``witness_for`` maps a chunk-local position to its label and is only
@@ -275,9 +266,6 @@ class IndexStats:
         d2 = d * d
         self._combine(values.size, mean_b, float(d2.sum()),
                       float((d2 * d).sum()), float((d2 * d2).sum()))
-        if witness_for is not None and not callable(witness_for):
-            seq = witness_for
-            witness_for = lambda i: seq[i]  # noqa: E731 - tiny adapter
         vmin = float(values.min())
         vmax = float(values.max())
         if witness_for is None:
@@ -350,14 +338,3 @@ class IndexStats:
             min_overflow=self._min.overflow,
             max_overflow=self._max.overflow,
         )
-
-
-def stats_merge(a: IndexStats, b: IndexStats) -> IndexStats:
-    """Merged copy of two accumulators; both inputs stay usable."""
-    out = IndexStats()
-    out.count, out.mean = a.count, a.mean
-    out.m2, out.m3, out.m4 = a.m2, a.m3, a.m4
-    out._min = a._min.copy()
-    out._max = a._max.copy()
-    out.absorb(b)
-    return out

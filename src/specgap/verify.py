@@ -4,27 +4,50 @@ Each suite sweeps a family (all partitions of an order, a full census, a
 range of perturbation sizes), applies the corresponding bound or closed-form
 check, and reports how many cases were checked, how many were skipped as
 out of premise, and the identifiers of any failures (graph6 strings where a
-graph is the subject, otherwise a readable parameter tag).
+graph is the subject, otherwise a readable parameter tag).  The census
+suites, the classical extremes among them, read one census of the requested
+order; run_check turns a suite's tally into a named SuiteResult.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import census, eigen, graph6, multipartite
-from .graphs import Graph, complete_multipartite, kmm_minus_e, kmm_plus_e
+from .graphs import (
+    Graph,
+    complete_multipartite,
+    detect_complete_multipartite,
+    is_connected,
+    kmm_minus_e,
+    kmm_plus_e,
+    pair_count,
+)
 from .indices import compute_indices
 
 _TOL = 1e-8
 
-CHECK_NAMES = (
-    "prop1", "prop2a", "prop2b", "prop3", "prop4",
-    "bipartite-bound", "classical", "vertex-add",
-)
+# suite name -> (suite function in this module, whether it sweeps a census);
+# run_check looks the function up when called, not when this is built
+_SUITES = {
+    "prop1": ("check_multipartite_bounds", False),
+    "prop2a": ("check_nonmultipartite_bounds", True),
+    "prop2b": ("check_power_maximum", True),
+    "prop3": ("check_minus_edge_family", False),
+    "prop4": ("check_plus_edge_family", False),
+    "bipartite-bound": ("check_bipartite_bound", True),
+    "classical": ("check_classical", True),
+    "vertex-add": ("check_vertex_addition", True),
+}
+CHECK_NAMES = tuple(_SUITES)
+
+# what a suite function returns: cases checked, cases skipped as out of
+# premise, and the failure tags
+Tally = tuple[int, int, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -53,13 +76,45 @@ def partitions(total: int, min_parts: int = 2) -> Iterator[tuple[int, ...]]:
     yield from rec(total, 1, ())
 
 
-def _census_graphs(order: int, path: str | None) -> Iterable[Graph]:
-    if path is not None:
-        return census.Graph6Source(path)
-    return census.enumerate_connected(order)
+def _census_graphs(order: int, path: str | None) -> Iterator[Graph]:
+    """The census a suite sweeps: the graphs of the graph6 file at ``path``,
+    else the built-in enumeration of ``order``.  A file graph of another
+    order raises MixedOrdersError."""
+    if path is None:
+        yield from census.enumerate_connected(order)
+        return
+    source = census.Graph6Source(path)
+    for g in source:
+        if g.order != order:
+            raise census.MixedOrdersError(
+                f"{path}: graph {source.read} has order {g.order}, "
+                f"not the requested {order}"
+            )
+        yield g
 
 
-def check_multipartite_bounds(order: int) -> SuiteResult:
+def _sweep(order: int, path: str | None,
+           *bounds: tuple[str, Callable[[Graph], object]]) -> Tally:
+    """Every (tag prefix, bound check) pair on every census graph.
+
+    A check returns a report with ``holds``, or raises NotApplicableError
+    when the graph is outside its premise, which skips the graph.  Each
+    report that does not hold adds the prefix plus the graph6 string.
+    """
+    failures: list[str] = []
+    checked = skipped = 0
+    for g in _census_graphs(order, path):
+        try:
+            broken = [tag for tag, bound in bounds if not bound(g).holds]
+        except multipartite.NotApplicableError:
+            skipped += 1
+            continue
+        checked += 1
+        failures.extend(tag + graph6.encode(g) for tag in broken)
+    return checked, skipped, tuple(failures)
+
+
+def check_multipartite_bounds(order: int) -> Tally:
     """Every partition of ``order``: analytic spectrum vs dense eigensolve,
     exactly one positive eigenvalue, spectrum range and index bounds."""
     failures = []
@@ -82,23 +137,12 @@ def check_multipartite_bounds(order: int) -> SuiteResult:
                 failures.append(f"{tag}: bound violated")
         except Exception as exc:  # noqa: BLE001 - suite reports, not raises
             failures.append(f"{tag}: {exc}")
-    return SuiteResult("prop1", checked, 0, tuple(failures))
+    return checked, 0, tuple(failures)
 
 
-def check_nonmultipartite_bounds(order: int, path: str | None = None) -> SuiteResult:
+def check_nonmultipartite_bounds(order: int, path: str | None = None) -> Tally:
     """Census sweep of the gap/ind bounds for non complete multipartite graphs."""
-    failures = []
-    checked = skipped = 0
-    for g in _census_graphs(order, path):
-        try:
-            report = multipartite.nonmultipartite_bounds_check(g)
-        except multipartite.NotApplicableError:
-            skipped += 1
-            continue
-        checked += 1
-        if not report.holds:
-            failures.append(graph6.encode(g))
-    return SuiteResult("prop2a", checked, skipped, tuple(failures))
+    return _sweep(order, path, ("", multipartite.nonmultipartite_bounds_check))
 
 
 # the two order-7 maximizers of the power index and their exact spectra
@@ -108,7 +152,7 @@ _POW7_SPECTRA = (
 )
 
 
-def check_power_maximum(order: int, path: str | None = None) -> SuiteResult:
+def check_power_maximum(order: int, path: str | None = None) -> Tally:
     """max power == 2*(order-1) for order <= 7, witnessed by the complete
     graph; at order 7 by exactly two graphs with known spectra."""
     if order > 7:
@@ -119,7 +163,7 @@ def check_power_maximum(order: int, path: str | None = None) -> SuiteResult:
     if abs(result.value - expected) > _TOL:
         failures.append(f"max pow {result.value:.10f} != {expected}")
     witnesses = [graph6.decode(w) for w in result.witnesses]
-    if not any(census._is_complete(g) for g in witnesses):
+    if not any(_is_complete(g) for g in witnesses):
         failures.append("complete graph missing from witnesses")
     if order == 7:
         if len(witnesses) != 2 or result.overflow:
@@ -128,16 +172,15 @@ def check_power_maximum(order: int, path: str | None = None) -> SuiteResult:
             spectra = sorted(
                 tuple(round(v, 6) for v in eigen.spectrum(g)) for g in witnesses
             )
-            expected_spectra = sorted(_POW7_SPECTRA, reverse=False)
-            for got, want in zip(spectra, expected_spectra):
+            for got, want in zip(spectra, sorted(_POW7_SPECTRA)):
                 if max(abs(a - b) for a, b in zip(got, want)) > _TOL:
                     failures.append(f"unexpected witness spectrum {got}")
     elif len(witnesses) != 1:
         failures.append(f"expected a unique witness, got {len(witnesses)}")
-    return SuiteResult("prop2b", result.count, 0, tuple(failures))
+    return result.count, 0, tuple(failures)
 
 
-def check_minus_edge_family(max_part: int = 50) -> SuiteResult:
+def check_minus_edge_family(max_part: int = 50) -> Tally:
     """Closed-form vs dense spectra for the one-edge-removed family."""
     failures = []
     checked = 0
@@ -147,10 +190,10 @@ def check_minus_edge_family(max_part: int = 50) -> SuiteResult:
         dense = eigen.spectrum(kmm_minus_e(m))
         if np.max(np.abs(analytic - dense)) > _TOL:
             failures.append(f"m={m}: spectra differ")
-    return SuiteResult("prop3", checked, 0, tuple(failures))
+    return checked, 0, tuple(failures)
 
 
-def check_plus_edge_family(max_part: int = 50) -> SuiteResult:
+def check_plus_edge_family(max_part: int = 50) -> Tally:
     """Closed-form vs dense spectra for the one-edge-added family, plus the
     exact -1 eigenvalue showing up as lambda_minus numerically."""
     failures = []
@@ -166,66 +209,86 @@ def check_plus_edge_family(max_part: int = 50) -> SuiteResult:
             idx = compute_indices(dense)
             if abs(idx.lambda_minus + 1.0) > 1e-9:
                 failures.append(f"m={m}: lambda_minus {idx.lambda_minus} != -1")
-    return SuiteResult("prop4", checked, 0, tuple(failures))
+    return checked, 0, tuple(failures)
 
 
-def check_bipartite_bound(order: int, path: str | None = None) -> SuiteResult:
+def check_bipartite_bound(order: int, path: str | None = None) -> Tally:
     """Census sweep of the gap bound for bipartite, non complete bipartite graphs."""
-    failures = []
-    checked = skipped = 0
-    for g in _census_graphs(order, path):
-        try:
-            report = multipartite.bipartite_gap_bound(g)
-        except multipartite.NotApplicableError:
-            skipped += 1
-            continue
-        checked += 1
-        if not report.holds:
-            failures.append(graph6.encode(g))
-    return SuiteResult("bipartite-bound", checked, skipped, tuple(failures))
+    return _sweep(order, path, ("", multipartite.bipartite_gap_bound))
 
 
-def check_classical(order: int, path: str | None = None) -> SuiteResult:
-    graphs = _census_graphs(order, path)
-    report = census.verify_classical_extremes(order, graphs)
-    failures = tuple(
-        f"{c.name}: expected {c.expected:.6f} got {c.actual:.6f}"
-        + (f" (witness {c.counterexample})" if c.counterexample else "")
-        for c in report.checks if not c.ok
+# witnesses the classical extremes name
+
+def _is_complete(g: Graph) -> bool:
+    return g.bits == (1 << pair_count(g.order)) - 1
+
+
+def _is_path(g: Graph) -> bool:
+    if g.order == 1:
+        return True
+    return (is_connected(g)
+            and sorted(g.degrees()) == [1, 1] + [2] * (g.order - 2))
+
+
+def _is_star(g: Graph) -> bool:
+    return sorted(g.degrees()) == [1] * (g.order - 1) + [g.order - 1]
+
+
+def _is_balanced_complete_bipartite(g: Graph) -> bool:
+    m = g.order
+    return detect_complete_multipartite(g) == tuple(sorted((m // 2, m - m // 2)))
+
+
+def check_classical(order: int, path: str | None = None) -> Tally:
+    """The five textbook extremes, read off one batched census.
+
+    Each check pins the extreme value and requires the unique witness the
+    classical result names; a failure names the offending graph6 string
+    when the witness is wrong or not unique.  ``checked`` counts the checks.
+    """
+    m = order
+    stats = census.run_census(_census_graphs(m, path)).stats
+    specs = (
+        ("max lambda_max", "lambda_max", "max", float(m - 1), _is_complete),
+        ("min lambda_max", "lambda_max", "min",
+         2.0 * math.cos(math.pi / (m + 1.0)), _is_path),
+        ("min lambda_min", "lambda_min", "min",
+         -math.sqrt((m // 2) * (m - m // 2)), _is_balanced_complete_bipartite),
+        ("max lambda_min", "lambda_min", "max", -1.0, _is_complete),
+        ("min pow", "pow", "min", 2.0 * math.sqrt(m - 1.0), _is_star),
     )
-    return SuiteResult("classical", len(report.checks), 0, failures)
-
-
-def check_vertex_addition(order: int, path: str | None = None) -> SuiteResult:
-    """Cone and pendant eigenvalue bounds on every census graph."""
     failures = []
-    checked = 0
-    for g in _census_graphs(order, path):
-        checked += 1
-        if not multipartite.cone_lambda_max_bound(g).holds:
-            failures.append(f"cone:{graph6.encode(g)}")
-        if not multipartite.pendant_lambda_min_bound(g).holds:
-            failures.append(f"pendant:{graph6.encode(g)}")
-    return SuiteResult("vertex-add", checked, 0, tuple(failures))
+    for name, index, direction, expected, predicate in specs:
+        summary = stats[index].finalize()
+        if direction == "max":
+            actual, wits, over = (summary.maximum, summary.max_witnesses,
+                                  summary.max_overflow)
+        else:
+            actual, wits, over = (summary.minimum, summary.min_witnesses,
+                                  summary.min_overflow)
+        unique = len(wits) == 1 and over == 0
+        suspect = None if unique and predicate(graph6.decode(wits[0])) else wits[-1]
+        if suspect is None and abs(actual - expected) <= _TOL:
+            continue
+        failures.append(f"{name}: expected {expected:.6f} got {actual:.6f}"
+                        + (f" (witness {suspect})" if suspect else ""))
+    return len(specs), 0, tuple(failures)
+
+
+def check_vertex_addition(order: int, path: str | None = None) -> Tally:
+    """Cone and pendant eigenvalue bounds on every census graph."""
+    return _sweep(order, path,
+                  ("cone:", multipartite.cone_lambda_max_bound),
+                  ("pendant:", multipartite.pendant_lambda_min_bound))
 
 
 def run_check(name: str, order: int, path: str | None = None) -> SuiteResult:
-    """Dispatch a named suite; ``order`` is the census order, or the largest
-    part size for the perturbation families."""
-    if name == "prop1":
-        return check_multipartite_bounds(order)
-    if name == "prop2a":
-        return check_nonmultipartite_bounds(order, path)
-    if name == "prop2b":
-        return check_power_maximum(order, path)
-    if name == "prop3":
-        return check_minus_edge_family(order)
-    if name == "prop4":
-        return check_plus_edge_family(order)
-    if name == "bipartite-bound":
-        return check_bipartite_bound(order, path)
-    if name == "classical":
-        return check_classical(order, path)
-    if name == "vertex-add":
-        return check_vertex_addition(order, path)
-    raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+    """Run a named suite; ``order`` is the census order, or the largest part
+    size for the perturbation families.  Census suites read the graph6 file
+    at ``path`` when one is given, else the built-in enumeration."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
+    function, sweeps_census = _SUITES[name]
+    suite = globals()[function]
+    tally = suite(order, path) if sweeps_census else suite(order)
+    return SuiteResult(name, *tally)

@@ -25,7 +25,6 @@ from specgap.census import (
     extend_census,
     extremal,
     run_census,
-    verify_classical_extremes,
     write_histogram_csvs,
     write_stats_csv,
 )
@@ -355,36 +354,6 @@ def test_extremal_validation(census4):
 
 
 # ---------------------------------------------------------------------------
-# classical extremes
-
-
-def test_classical_extremes_small(census4, census5, census6):
-    for order, graphs in ((4, census4), (5, census5), (6, census6)):
-        report = verify_classical_extremes(order, graphs)
-        assert report.holds, [c for c in report.checks if not c.ok]
-        assert len(report.checks) == 5
-
-
-def test_classical_extremes_checks_fields(census4):
-    report = verify_classical_extremes(4, census4)
-    by_name = {c.name: c for c in report.checks}
-    assert by_name["max lambda_max"].expected == pytest.approx(3.0)
-    assert by_name["min lambda_max"].expected == pytest.approx(
-        2.0 * math.cos(math.pi / 5.0))
-    assert by_name["min lambda_min"].expected == pytest.approx(-2.0)
-    assert by_name["max lambda_min"].expected == pytest.approx(-1.0)
-    assert by_name["min pow"].expected == pytest.approx(2.0 * math.sqrt(3.0))
-
-
-def test_classical_extremes_detects_tampering(census4):
-    # drop the star: the minimum-power witness is then wrong
-    rigged = [g for g in census4
-              if sorted(g.degrees()) != [1, 1, 1, 3]]
-    report = verify_classical_extremes(4, rigged)
-    assert not report.holds
-
-
-# ---------------------------------------------------------------------------
 # histograms and CSV output
 
 
@@ -395,7 +364,7 @@ def test_histogram_binning():
     assert rows[0] == (pytest.approx(0.0), pytest.approx(0.1), 2)
     assert rows[1] == (pytest.approx(0.1), pytest.approx(0.2), 1)
     assert rows[2] == (pytest.approx(2.3), pytest.approx(2.4), 1)
-    assert h.total == 4
+    assert sum(h.counts.values()) == 4
 
 
 def test_histogram_absorb():
@@ -404,7 +373,7 @@ def test_histogram_absorb():
     b = Histogram()
     b.update_many(np.array([0.08]))
     a.absorb(b)
-    assert a.total == 3
+    assert sum(a.counts.values()) == 3
     assert a.rows()[0][2] == 2
 
 

@@ -116,6 +116,40 @@ def test_verify_failure_exits_one(capsys, tmp_path):
     assert "first_counterexample" in out
 
 
+@pytest.mark.parametrize("check,order", [
+    ("prop2b", "7"),  # order-8 powers would pose as order-7 counterexamples
+    ("prop2a", "5"),  # order-8 graphs would pass as an order-5 census
+])
+def test_verify_file_of_another_order_is_an_input_error(capsys, census8_path,
+                                                       check, order):
+    code, out, err = run(capsys, "verify", "--check", check, "--order", order,
+                         "--file", census8_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "order 8" in err
+
+
+def test_verify_mixed_order_file_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "mixed.g6"
+    f.write_text("C~\nD~{\n")
+    code, out, err = run(capsys, "verify", "--check", "vertex-add",
+                         "--order", "4", "--file", str(f))
+    assert code == 2
+    assert "PASS" not in out
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("check,order", [
+    ("prop2a", "3"), ("bipartite-bound", "3"), ("prop1", "1"),
+])
+def test_verify_vacuous_suite_exits_two(capsys, check, order):
+    code, out, err = run(capsys, "verify", "--check", check, "--order", order)
+    assert code == 2
+    assert out.startswith(f"{check} FAIL checked 0 ")
+    assert "first_counterexample" not in out
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_density_command(capsys):
     code, out, _ = run(capsys, "density", "--delta", "0.25",
                        "--gamma", "0.36")

@@ -4,19 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from specgap import eigen
 from specgap.graphs import complete, cycle, path, star
 from specgap.indices import (
     INDEX_NAMES,
+    WITNESS_BAND,
     WITNESS_CAP,
     DegenerateSpectrumError,
     IndexStats,
     InsufficientDataError,
     compute_indices,
     indices_batch,
-    stats_merge,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -191,9 +191,9 @@ def test_merge_matches_single_pass():
         s = IndexStats()
         s.update_many(values[lo:lo + 1000])
         parts.append(s)
-    merged = parts[0]
-    for s in parts[1:]:
-        merged = stats_merge(merged, s)
+    merged = IndexStats()
+    for s in parts:
+        merged.absorb(s)
     assert merged.count == whole.count
     assert merged.mean == pytest.approx(whole.mean, abs=1e-9)
     assert merged.std() == pytest.approx(whole.std(), abs=1e-9)
@@ -205,11 +205,14 @@ def test_merge_matches_single_pass():
 
 def test_merge_is_order_insensitive():
     a = IndexStats()
-    a.update_many(np.array([1.0, 2.0, 3.0]), ["a1", "a2", "a3"])
+    a.update_many(np.array([1.0, 2.0, 3.0]), ["a1", "a2", "a3"].__getitem__)
     b = IndexStats()
-    b.update_many(np.array([4.0, 5.0]), ["b1", "b2"])
-    ab = stats_merge(a, b)
-    ba = stats_merge(b, a)
+    b.update_many(np.array([4.0, 5.0]), ["b1", "b2"].__getitem__)
+    ab, ba = IndexStats(), IndexStats()
+    ab.absorb(a)
+    ab.absorb(b)
+    ba.absorb(b)
+    ba.absorb(a)
     assert ab.mean == pytest.approx(ba.mean, rel=1e-14)
     assert ab.finalize().min_witnesses == ba.finalize().min_witnesses
     assert ab.finalize().max_witnesses == ba.finalize().max_witnesses
@@ -247,6 +250,75 @@ def test_witnesses_within_band_tie():
     assert set(out.min_witnesses) == {"exact", "close"}
 
 
+def test_overflow_counts_only_the_final_band():
+    # ties at 1.2e-9 overflow the cap first, then fall outside the band of
+    # the final minimum 0.0; only offers within that band may count
+    offers = [(1.2e-9, f"a{i:02d}") for i in range(WITNESS_CAP + 3)]
+    offers += [(0.6e-9, "b"), (0.0, "c")]
+    for stream in (offers, sorted(offers), offers[::-1]):
+        s = IndexStats()
+        for value, label in stream:
+            s.update(value, label)
+        out = s.finalize()
+        assert out.min_witnesses == ("c", "b")
+        assert out.min_overflow == 0
+        # the maximum 1.2e-9 keeps the cap's 16 smallest labels; the other
+        # three ties and 0.6e-9 (inside its band) overflow
+        assert out.max_witnesses == tuple(f"a{i:02d}" for i in range(WITNESS_CAP))
+        assert out.max_overflow == 4
+
+
+def _witness_oracle(values, labels, sign):
+    """Witnesses and overflow of one extremum straight from the definition:
+    the smallest (key, label) pairs within the band of the best key."""
+    keys = [sign * v for v in values]
+    cut = min(keys) + WITNESS_BAND
+    qualifying = sorted(kl for kl in zip(keys, labels) if kl[0] <= cut)
+    kept = qualifying[:WITNESS_CAP]
+    return tuple(label for _, label in kept), len(qualifying) - len(kept)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2 * WITNESS_CAP), min_size=4, max_size=4),
+       st.data())
+def test_absorb_in_any_order_matches_one_pass(counts, data):
+    # values a fraction of the tie band apart, with enough repeats to fill
+    # the witness cap, so band edges and overflow are exercised
+    levels = (0.0, 0.6e-9, 1.2e-9, 1.0)
+    values = [v for v, n in zip(levels, counts) for _ in range(n)]
+    assume(values)
+    values = data.draw(st.permutations(values))
+    labels = data.draw(st.permutations([f"g{i:02d}" for i in range(len(values))]))
+    want = None
+    for stream in (list(zip(values, labels)),
+                   sorted(zip(values, labels), reverse=True)):
+        whole = IndexStats()
+        for value, label in stream:
+            whole.update(value, label)
+        out = whole.finalize()
+        assert (out.min_witnesses, out.min_overflow) == _witness_oracle(
+            values, labels, +1)
+        assert (out.max_witnesses, out.max_overflow) == _witness_oracle(
+            values, labels, -1)
+        want = want or out
+    cuts = data.draw(st.lists(st.integers(0, len(values)), max_size=6))
+    bounds = [0, *sorted(cuts), len(values)]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = IndexStats()
+        part.update_many(np.array(values[lo:hi]), labels[lo:hi].__getitem__)
+        parts.append(part)
+    merged = IndexStats()
+    for part in data.draw(st.permutations(parts)):
+        merged.absorb(part)
+    got = merged.finalize()
+    assert (got.minimum, got.maximum) == (want.minimum, want.maximum)
+    assert got.min_witnesses == want.min_witnesses
+    assert got.max_witnesses == want.max_witnesses
+    assert got.min_overflow == want.min_overflow
+    assert got.max_overflow == want.max_overflow
+
+
 def test_update_many_witness_callable():
     labels = ["a", "b", "c", "d"]
     s = IndexStats()
@@ -265,7 +337,9 @@ def test_merge_property(values, cut):
     a.update_many(np.array(values[:cut]))
     b = IndexStats()
     b.update_many(np.array(values[cut:]))
-    merged = stats_merge(a, b)
+    merged = IndexStats()
+    merged.absorb(a)
+    merged.absorb(b)
     whole = IndexStats()
     whole.update_many(np.array(values))
     assert merged.count == whole.count

@@ -1,9 +1,19 @@
 """Verification suite runner."""
 
+import math
+
 import pytest
 
-from specgap import verify
+from specgap import graph6, verify
+from specgap.census import MixedOrdersError
+from specgap.graphs import complete, path
 from specgap.verify import partitions, run_check
+
+
+def _g6_file(tmp_path, graphs, name="census.g6"):
+    f = tmp_path / name
+    f.write_text("".join(graph6.encode(g) + "\n" for g in graphs))
+    return str(f)
 
 
 def test_partitions_counts():
@@ -65,6 +75,54 @@ def test_bipartite_bound_census():
 def test_classical_and_vertex_add():
     assert run_check("classical", 5).passed
     assert run_check("vertex-add", 4).passed
+
+
+def test_classical_extremes_small():
+    for order in (4, 5, 6):
+        result = run_check("classical", order)
+        assert result.passed, result.failures
+        assert result.checked == 5
+
+
+def test_classical_extremes_expected_values(tmp_path):
+    # a one-graph census fails every extreme its graph does not attain, and
+    # each failure line carries the classical value; K4 and P4 between them
+    # fail all five
+    lines = []
+    for g in (complete(4), path(4)):
+        result = run_check("classical", 4, _g6_file(tmp_path, [g]))
+        assert result.checked == 5
+        lines += result.failures
+    expected = {
+        "max lambda_max": 3.0,
+        "min lambda_max": 2.0 * math.cos(math.pi / 5.0),
+        "min lambda_min": -2.0,
+        "max lambda_min": -1.0,
+        "min pow": 2.0 * math.sqrt(3.0),
+    }
+    for name, value in expected.items():
+        assert any(line.startswith(f"{name}: expected {value:.6f} got ")
+                   for line in lines), name
+
+
+def test_classical_extremes_detects_tampering(tmp_path, census4):
+    # drop the star: the minimum-power witness is then wrong
+    rigged = [g for g in census4 if sorted(g.degrees()) != [1, 1, 1, 3]]
+    result = run_check("classical", 4, _g6_file(tmp_path, rigged))
+    assert not result.passed
+    assert result.checked == 5
+    assert [f.split(":")[0] for f in result.failures] == ["min pow"]
+
+
+@pytest.mark.parametrize("check", [
+    "prop2a", "prop2b", "bipartite-bound", "classical", "vertex-add",
+])
+def test_census_file_must_have_the_order(tmp_path, check):
+    f = _g6_file(tmp_path, [complete(4), complete(5)])
+    with pytest.raises(MixedOrdersError):
+        run_check(check, 4, f)
+    with pytest.raises(MixedOrdersError):
+        run_check(check, 5, f)
 
 
 def test_census_file_input(tmp_path):
