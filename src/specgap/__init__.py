@@ -104,6 +104,6 @@ from .census import (
     write_histogram_csvs,
     write_stats_csv,
 )
-from .verify import CHECK_NAMES, SuiteResult, partitions, run_check
+from .verify import CHECK_NAMES, NoCensusError, SuiteResult, partitions, run_check
 
 __version__ = "0.1.0"

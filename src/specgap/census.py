@@ -10,9 +10,11 @@ new vertex in every possible way and keeping one canonical graph per class
 enumerate_connected runs that extension from the one-vertex graph, up to
 order 7.  Larger orders come from graph6 files or from extend_census.
 
-run_census streams any graph source through a batched eigensolve and merges
-per-chunk moment accumulators in a fixed order, so results are identical for
-any thread count.
+Graph6Source streams a graph6 file: each line is decoded on its own, and
+connectivity is decided for a block of same-order graphs at once, on their
+edge masks.  run_census streams any graph source through a batched
+eigensolve and merges per-chunk moment accumulators in a fixed order, so
+results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ log = logging.getLogger(__name__)
 ENUM_MAX_ORDER = 7
 CANON_MAX_ORDER = 8
 HIST_BIN_WIDTH = 0.1
+SOURCE_BLOCK = 2048  # graphs per connectivity block of Graph6Source
 
 # connected graphs per order, for reporting and self-checks (OEIS A001349)
 KNOWN_CONNECTED_COUNTS = {
@@ -190,13 +193,60 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
+# batches of edge masks
+
+def _edge_masks(graphs: Sequence[Graph]) -> np.ndarray | None:
+    """The edge bitsets of same-order graphs as a uint64 array, or None
+    when the order has more than 63 vertex pairs."""
+    if pair_count(graphs[0].order) > 63:
+        return None
+    return np.fromiter((g.bits for g in graphs), dtype=np.uint64,
+                       count=len(graphs))
+
+
+def _connected(masks: np.ndarray, m: int) -> np.ndarray:
+    """Which of these order-m edge masks are connected graphs.
+
+    A bitmask breadth-first search from vertex 0 over per-vertex
+    neighbor-mask arrays, for the whole array at once: at most m-1 frontier
+    rounds, fewer once no frontier is left.
+    """
+    one = np.uint64(1)
+    nb = [np.zeros_like(masks) for _ in range(m)]
+    p = 0
+    for j in range(1, m):
+        for i in range(j):
+            edge = (masks >> np.uint64(p)) & one
+            nb[i] |= edge << np.uint64(j)
+            nb[j] |= edge << np.uint64(i)
+            p += 1
+    visited = np.ones_like(masks)
+    frontier = visited
+    for _ in range(m - 1):
+        step = np.zeros_like(masks)
+        for v in range(m):
+            step |= nb[v] * ((frontier >> np.uint64(v)) & one)
+        frontier = step & ~visited
+        if not frontier.any():
+            break
+        visited |= frontier
+    return visited == np.uint64((1 << m) - 1)
+
+
+# ---------------------------------------------------------------------------
 # graph6 file ingestion
 
 class Graph6Source:
     """Iterable over the connected graphs of a graph6 file.
 
+    Lines are decoded one at a time and buffered in blocks of one order (at
+    most SOURCE_BLOCK graphs); each block's connectivity is decided in one
+    vectorized pass, and its connected graphs are yielded in file order.
     Disconnected entries are skipped and counted in rejected_disconnected;
-    malformed lines raise Graph6FileError with the file name and line number.
+    read and rejected_disconnected count up as graphs are yielded, so at
+    each yield read is the yielded graph's number in the file.  Malformed
+    lines raise Graph6FileError with the file name and line number, before
+    the rest of their block is yielded.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -207,7 +257,28 @@ class Graph6Source:
     def __iter__(self) -> Iterator[Graph]:
         self.read = 0
         self.rejected_disconnected = 0
+        for block in self._blocks():
+            masks = _edge_masks(block)
+            if masks is None:
+                keep: Iterable[bool] = map(is_connected, block)
+            else:
+                keep = _connected(masks, block[0].order).tolist()
+            for g, connected in zip(block, keep):
+                self.read += 1
+                if connected:
+                    yield g
+                else:
+                    self.rejected_disconnected += 1
+        if self.rejected_disconnected:
+            log.warning(
+                "%s: skipped %d disconnected graph(s)",
+                self.path, self.rejected_disconnected,
+            )
+
+    def _blocks(self) -> Iterator[list[Graph]]:
+        """The decoded graphs in file order, in blocks of one order."""
         header = graph6.HEADER.encode()
+        block: list[Graph] = []
         with open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -219,16 +290,15 @@ class Graph6Source:
                     g = graph6.decode(line)
                 except graph6.Graph6Error as exc:
                     raise Graph6FileError(f"{self.path}:{lineno}: {exc}") from exc
-                self.read += 1
-                if is_connected(g):
-                    yield g
-                else:
-                    self.rejected_disconnected += 1
-        if self.rejected_disconnected:
-            log.warning(
-                "%s: skipped %d disconnected graph(s)",
-                self.path, self.rejected_disconnected,
-            )
+                if block and g.order != block[0].order:
+                    yield block
+                    block = []
+                block.append(g)
+                if len(block) == SOURCE_BLOCK:
+                    yield block
+                    block = []
+        if block:
+            yield block
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +352,9 @@ def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     pairs = [(i, j) for j in range(1, m) for i in range(j)]
     iu = np.asarray([i for i, _ in pairs], dtype=np.intp)
     ju = np.asarray([j for _, j in pairs], dtype=np.intp)
-    if n_pairs <= 63:
-        bits = np.asarray([g.bits for g in graphs], dtype=np.uint64)
-        cols = (bits[:, None] >> np.arange(n_pairs, dtype=np.uint64)) & np.uint64(1)
+    masks = _edge_masks(graphs)
+    if masks is not None:
+        cols = (masks[:, None] >> np.arange(n_pairs, dtype=np.uint64)) & np.uint64(1)
         cols = cols.astype(float)
     else:  # huge orders: plain per-graph fill
         cols = np.zeros((n, n_pairs))

@@ -233,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True,
                    help="census order, or the largest part size for prop3/4")
     p.add_argument("--file", default=None,
-                   help="graph6 census file (defaults to built-in enumeration)")
+                   help="graph6 census file for the census suites "
+                        "(defaults to built-in enumeration)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("density", help="bipartite gap witness in a unit window")

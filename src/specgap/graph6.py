@@ -15,10 +15,11 @@ HEADER = ">>graph6<<"
 
 _MAX_ORDER = 258047
 
-# set-bit positions (0 = first payload bit) for every 6-bit chunk value
-_BITS_IN_CHUNK = tuple(
-    tuple(s for s in range(6) if v & (1 << (5 - s))) for v in range(64)
-)
+_HEADER = HEADER.encode()
+_VALID = bytes(range(63, 127))
+# every 6-bit chunk value with its bits reversed: graph6 puts the first pair
+# of a chunk in its high bit, the edge bitset puts it in the low bit
+_REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 class Graph6Error(ValueError):
@@ -40,17 +41,18 @@ class NonzeroPaddingError(Graph6Error):
 def decode(line: str | bytes) -> Graph:
     """Parse one graph6 line (optional ``>>graph6<<`` header allowed)."""
     if isinstance(line, str):
-        data = line.encode("ascii", errors="replace")
+        # non-ASCII text becomes bytes above 127, which the range check rejects
+        data = line.encode("utf-8", "surrogatepass")
     else:
         data = bytes(line)
     data = data.strip()
-    if data.startswith(HEADER.encode()):
-        data = data[len(HEADER):]
+    if data.startswith(_HEADER):
+        data = data[len(_HEADER):]
     if not data:
         raise Graph6Error("empty graph6 string")
-    for b in data:
-        if not 63 <= b <= 126:
-            raise InvalidCharError(f"byte {b} outside graph6 range 63..126")
+    bad = data.translate(None, _VALID)
+    if bad:
+        raise InvalidCharError(f"byte {bad[0]} outside graph6 range 63..126")
 
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -77,14 +79,10 @@ def decode(line: str | bytes) -> Graph:
         raise Graph6Error("trailing bytes after graph6 payload")
 
     bits = 0
-    base = 0
-    for byte in payload:
-        for s in _BITS_IN_CHUNK[byte - 63]:
-            p = base + s
-            if p >= n_bits:
-                raise NonzeroPaddingError("set bit in graph6 padding")
-            bits |= 1 << p
-        base += 6
+    for byte in reversed(payload):
+        bits = bits << 6 | _REVERSED[byte - 63]
+    if bits >> n_bits:
+        raise NonzeroPaddingError("set bit in graph6 padding")
     return Graph(order, bits)
 
 

@@ -31,6 +31,11 @@ from .indices import compute_indices
 
 _TOL = 1e-8
 
+
+class NoCensusError(ValueError):
+    """A graph6 file was given to a suite that reads no census."""
+
+
 # suite name -> (suite function in this module, whether it sweeps a census);
 # run_check looks the function up when called, not when this is built
 _SUITES = {
@@ -285,10 +290,13 @@ def check_vertex_addition(order: int, path: str | None = None) -> Tally:
 def run_check(name: str, order: int, path: str | None = None) -> SuiteResult:
     """Run a named suite; ``order`` is the census order, or the largest part
     size for the perturbation families.  Census suites read the graph6 file
-    at ``path`` when one is given, else the built-in enumeration."""
+    at ``path`` when one is given, else the built-in enumeration; a path
+    given to any other suite raises NoCensusError."""
     if name not in _SUITES:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
     function, sweeps_census = _SUITES[name]
+    if path is not None and not sweeps_census:
+        raise NoCensusError(f"check {name} reads no census; it takes no graph6 file")
     suite = globals()[function]
     tally = suite(order, path) if sweeps_census else suite(order)
     return SuiteResult(name, *tally)

@@ -1,0 +1,40 @@
+"""The names the benchmark tracer (bench/spans.py) wraps must exist.
+
+The tracer replaces these functions and methods by name when a traced
+benchmark run starts; a rename here would crash that run, so it fails this
+test first.  bench/spans.py is only read, never imported as a package.
+"""
+
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+from specgap import census
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    if not SPANS.exists():
+        pytest.skip("bench/spans.py is not in this checkout")
+    return runpy.run_path(str(SPANS))
+
+
+def test_traced_functions_exist(spans):
+    for layer, names in spans["FUNCTIONS"].items():
+        module = importlib.import_module(f"specgap.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_traced_methods_exist(spans):
+    for layer, cls_name, meth in spans["METHODS"]:
+        cls = getattr(importlib.import_module(f"specgap.{layer}"), cls_name)
+        assert callable(cls.__dict__.get(meth)), f"{layer}.{cls_name}.{meth}"
+
+
+def test_traced_source_iterator_exists():
+    assert callable(census.Graph6Source.__dict__.get("__iter__"))

@@ -264,6 +264,125 @@ def test_graph6_source_missing_file():
         list(Graph6Source("/nonexistent/path.g6"))
 
 
+def test_graph6_source_crlf_line_endings(tmp_path):
+    f = tmp_path / "crlf.g6"
+    f.write_bytes(b"C~\r\nC?\r\n\r\nCr\r\n")
+    src = Graph6Source(str(f))
+    assert list(src) == [graph6.decode("C~"), graph6.decode("Cr")]
+    assert (src.read, src.rejected_disconnected) == (3, 1)
+
+
+def test_graph6_source_truncated_last_line(tmp_path):
+    # a file cut short mid-line: the last line names its own line number
+    f = tmp_path / "cut.g6"
+    f.write_bytes(b"Dr{\nD?{\nDQ")
+    with pytest.raises(Graph6FileError) as err:
+        list(Graph6Source(str(f)))
+    assert str(err.value) == (
+        f"{f}:3: order 5 needs 2 payload bytes, got 1")
+    assert isinstance(err.value.__cause__, graph6.TruncatedPayloadError)
+
+
+def test_graph6_source_header_in_mid_file(tmp_path):
+    # a header on a line of its own is skipped; one before a graph is stripped
+    f = tmp_path / "cat.g6"
+    f.write_text(">>graph6<<Bw\nBo\n>>graph6<<\n>>graph6<<BW\n")
+    src = Graph6Source(str(f))
+    assert list(src) == [graph6.decode(s) for s in ("Bw", "Bo", "BW")]
+    assert src.read == 3
+
+
+def _per_line_reference(lines):
+    """(graph, read, rejected) at each yield of the one-graph-at-a-time
+    reader: the behaviour the block reader must reproduce."""
+    read = rejected = 0
+    out = []
+    for line in lines:
+        if not line.strip():
+            continue
+        g = graph6.decode(line)
+        read += 1
+        if is_connected(g):
+            out.append((g, read, rejected))
+        else:
+            rejected += 1
+    return out, read, rejected
+
+
+def test_graph6_source_blocks_match_the_per_line_reader(tmp_path):
+    rng = np.random.default_rng(4)
+    lines = []
+    # more than one block of order 6, sparse enough that many are
+    # disconnected, an order change inside the second block, then order 7
+    for order, count in ((6, census.SOURCE_BLOCK + 700), (7, 900)):
+        n = pair_count(order)
+        masks = (rng.integers(0, 1 << n, size=count, dtype=np.uint64)
+                 & rng.integers(0, 1 << n, size=count, dtype=np.uint64))
+        lines += [graph6.encode(Graph(order, int(x))) for x in masks]
+    lines.insert(5, "")
+    f = tmp_path / "blocks.g6"
+    f.write_text("\n".join(lines) + "\n")
+    want, read, rejected = _per_line_reference(lines)
+    assert 100 < rejected < len(lines) - 100
+
+    src = Graph6Source(str(f))
+    got = [(g, src.read, src.rejected_disconnected) for g in src]
+    assert got == want
+    assert (src.read, src.rejected_disconnected) == (read, rejected)
+
+
+@pytest.mark.parametrize("lines", [0, 1, census.SOURCE_BLOCK,
+                                   census.SOURCE_BLOCK + 1])
+def test_graph6_source_block_edges(tmp_path, lines):
+    f = tmp_path / "n.g6"
+    f.write_text("Bw\nB?\n" * (lines // 2) + "Bo\n" * (lines % 2))
+    src = Graph6Source(str(f))
+    assert len(list(src)) == lines - lines // 2
+    assert (src.read, src.rejected_disconnected) == (lines, lines // 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, 11), data=st.data())
+def test_block_connectivity_matches_is_connected(order, data):
+    n = pair_count(order)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=40))
+    graphs = [Graph(order, b) for b in masks]
+    got = census._connected(census._edge_masks(graphs), order)
+    assert got.tolist() == [is_connected(g) for g in graphs]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_block_connectivity_exhaustive_small_orders(order):
+    graphs = [Graph(order, b) for b in range(1 << pair_count(order))]
+    got = census._connected(census._edge_masks(graphs), order)
+    assert got.tolist() == [is_connected(g) for g in graphs]
+
+
+def test_graph6_source_past_the_mask_cut_checks_each_graph(tmp_path,
+                                                          monkeypatch):
+    # order 12 has 66 vertex pairs, more than a uint64 mask holds
+    rng = np.random.default_rng(12)
+    graphs = [Graph(12, int(x) | int(y) << 33)
+              for x, y in rng.integers(0, 1 << 33, size=(60, 2))]
+    graphs += [path(12), Graph(12, 0), complete(12)]
+    assert census._edge_masks(graphs) is None
+    f = tmp_path / "order12.g6"
+    f.write_text("".join(graph6.encode(g) + "\n" for g in graphs))
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return is_connected(g)
+
+    monkeypatch.setattr(census, "is_connected", counting)
+    src = Graph6Source(str(f))
+    got = [(g, src.read, src.rejected_disconnected) for g in src]
+    assert got == _per_line_reference(graph6.encode(g) for g in graphs)[0]
+    assert calls == graphs
+    assert src.rejected_disconnected >= 1
+
+
 # ---------------------------------------------------------------------------
 # census pipeline
 

@@ -150,6 +150,15 @@ def test_verify_vacuous_suite_exits_two(capsys, check, order):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("check", ["prop1", "prop3", "prop4"])
+def test_verify_file_for_a_suite_without_census_exits_two(capsys, check):
+    code, out, err = run(capsys, "verify", "--check", check, "--order", "8",
+                         "--file", "/nonexistent.g6")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: check {check} reads no census; it takes no graph6 file\n"
+
+
 def test_density_command(capsys):
     code, out, _ = run(capsys, "density", "--delta", "0.25",
                        "--gamma", "0.36")
@@ -174,6 +183,13 @@ def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "census", "--file", "/does/not/exist.g6",
                        "--out", "/tmp")
     assert code == 2
+
+
+def test_non_ascii_graph6_is_an_input_error(capsys):
+    code, out, err = run(capsys, "spectrum", "B\u00e9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: byte 195 outside graph6 range 63..126\n"
 
 
 def test_usage_errors(capsys):

@@ -1,5 +1,7 @@
 """graph6 codec: format vectors, error taxonomy, round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +62,8 @@ def test_decode_errors():
         graph6.decode("?")          # order 0
     with pytest.raises(graph6.Graph6Error):
         graph6.decode("~~??????")   # 8-byte order form is out of scope
+    with pytest.raises(graph6.NonzeroPaddingError):
+        graph6.decode("DQd")        # order 5: the last two payload bits pad
     # the exception classes form one catchable family
     assert issubclass(graph6.InvalidCharError, graph6.Graph6Error)
     assert issubclass(graph6.Graph6Error, ValueError)
@@ -90,3 +94,57 @@ def test_round_trip_boundary_orders(order, data):
         edges.add((i, j))
     g = from_edges(order, edges)
     assert graph6.decode(graph6.encode(g)) == g
+
+
+@pytest.mark.parametrize("text", ["B\u00e9", "\u00e9w", "B\udc80", "Bw\u00a0"])
+def test_non_ascii_text_is_an_invalid_char(text):
+    # a non-ASCII character must not stand in for a payload byte
+    with pytest.raises(graph6.InvalidCharError, match="outside graph6 range"):
+        graph6.decode(text)
+
+
+def test_invalid_char_names_the_first_bad_byte():
+    with pytest.raises(graph6.InvalidCharError) as err:
+        graph6.decode(b"B\x19\x80")
+    assert str(err.value) == "byte 25 outside graph6 range 63..126"
+
+
+@given(order=st.integers(63, 130), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_long_form(order, seed):
+    # random edge sets of any density on orders that need the 4-byte length
+    n_bits = pair_count(order)
+    g = Graph(order, random.Random(seed).getrandbits(n_bits))
+    s = graph6.encode(g)
+    assert s[0] == "~" and len(s) == 4 + (n_bits + 5) // 6
+    assert graph6.decode(s) == g
+    assert graph6.decode(s.encode()) == g
+
+
+# bytes near the graph6 range, with the length and header forms mixed in
+_NEAR_RANGE = st.lists(st.integers(58, 130), max_size=12).map(bytes)
+_ANY_BYTES = st.one_of(
+    st.binary(max_size=40),
+    _NEAR_RANGE,
+    st.tuples(st.sampled_from([b"", b"~", b">>graph6<<", b" ", b"\n"]),
+              _NEAR_RANGE).map(b"".join),
+)
+
+
+@given(data=_ANY_BYTES)
+def test_arbitrary_bytes_decode_or_raise_graph6_error(data):
+    try:
+        g = graph6.decode(data)
+    except graph6.Graph6Error:
+        return
+    assert isinstance(g, Graph)
+    assert graph6.decode(graph6.encode(g)) == g
+
+
+@given(text=st.text(max_size=20))
+def test_arbitrary_text_decodes_or_raises_graph6_error(text):
+    try:
+        g = graph6.decode(text)
+    except graph6.Graph6Error:
+        return
+    assert isinstance(g, Graph)
+    assert text.isascii()  # only ASCII text can spell a graph

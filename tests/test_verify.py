@@ -5,8 +5,8 @@ import math
 import pytest
 
 from specgap import graph6, verify
-from specgap.census import MixedOrdersError
-from specgap.graphs import complete, path
+from specgap.census import SOURCE_BLOCK, MixedOrdersError
+from specgap.graphs import Graph, complete, path
 from specgap.verify import partitions, run_check
 
 
@@ -123,6 +123,26 @@ def test_census_file_must_have_the_order(tmp_path, check):
         run_check(check, 4, f)
     with pytest.raises(MixedOrdersError):
         run_check(check, 5, f)
+
+
+def test_census_file_order_error_names_the_graph_past_the_first_block(
+        tmp_path, census5):
+    # disconnected entries count as read graphs, so the number is the
+    # graph's position among the decoded lines
+    graphs = [census5[i % len(census5)] for i in range(SOURCE_BLOCK + 30)]
+    graphs[7] = graphs[SOURCE_BLOCK + 3] = Graph(5, 0)
+    graphs.insert(SOURCE_BLOCK + 20, complete(6))
+    f = _g6_file(tmp_path, graphs)
+    with pytest.raises(MixedOrdersError) as err:
+        run_check("vertex-add", 5, f)
+    assert str(err.value) == (f"{f}: graph {SOURCE_BLOCK + 21} has order 6, "
+                              "not the requested 5")
+
+
+@pytest.mark.parametrize("check", ["prop1", "prop3", "prop4"])
+def test_file_for_a_suite_without_census_is_an_error(check):
+    with pytest.raises(verify.NoCensusError, match=check):
+        run_check(check, 8, "/nonexistent.g6")
 
 
 def test_census_file_input(tmp_path):
