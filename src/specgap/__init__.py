@@ -40,6 +40,7 @@ from .eigen import (
     NonConvergenceError,
     default_zero_tol,
     eigensystem,
+    eigensystems_batch,
     eigvals_symmetric,
     nullity,
     spectra_batch,
@@ -72,15 +73,19 @@ from .multipartite import (
     SpectrumEntry,
     approx_connected_count,
     bipartite_gap_bound,
+    bipartite_gap_bound_batch,
     cone_lambda_max_bound,
+    cone_lambda_max_bound_batch,
     density_search,
     dispersion_sum,
     kmm_minus_e_spectrum,
     kmm_plus_e_spectrum,
     multipartite_bounds_check,
     multipartite_spectrum,
+    nonmultipartite_bounds_batch,
     nonmultipartite_bounds_check,
     pendant_lambda_min_bound,
+    pendant_lambda_min_bound_batch,
     reduced_part_matrix,
     tripartite_roots,
 )

@@ -46,11 +46,8 @@ def spectrum(g: Graph) -> np.ndarray:
 
 def eigensystem(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues and matching orthonormal eigenvector columns."""
-    try:
-        vals, vecs = np.linalg.eigh(g.adjacency())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NonConvergenceError(str(exc)) from exc
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    vals, vecs = eigensystems_batch(g.adjacency()[None])
+    return vals[0].copy(), vecs[0].copy()
 
 
 def spectra_batch(stack: np.ndarray) -> np.ndarray:
@@ -64,6 +61,20 @@ def spectra_batch(stack: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NonConvergenceError(str(exc)) from exc
     return vals[:, ::-1]
+
+
+def eigensystems_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues (n, m) and matching orthonormal eigenvector
+    columns (n, m, m) of a stack of symmetric matrices.
+
+    Each matrix goes through the same LAPACK routine as on its own, so the
+    results equal a per-matrix ``eigh`` bit for bit.
+    """
+    try:
+        vals, vecs = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NonConvergenceError(str(exc)) from exc
+    return vals[:, ::-1], vecs[:, :, ::-1]
 
 
 def nullity(values: np.ndarray, zero_tol: float | None = None) -> int:

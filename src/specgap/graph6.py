@@ -96,13 +96,11 @@ def encode(g: Graph) -> str:
     else:
         head = bytes([126, ((m >> 12) & 63) + 63, ((m >> 6) & 63) + 63, (m & 63) + 63])
 
-    n_bits = pair_count(m)
-    out = bytearray(head)
-    out.extend(63 for _ in range((n_bits + 5) // 6))
-    rest = g.bits
-    while rest:
-        low = rest & -rest
-        p = low.bit_length() - 1
-        out[len(head) + p // 6] += 1 << (5 - p % 6)
-        rest &= rest - 1
-    return out.decode("ascii")
+    # pair p is bit p of the bitset and the (p % 6)-th bit from the top of
+    # payload byte p // 6: the reversed binary string reads the pairs in
+    # payload order
+    width = 6 * ((pair_count(m) + 5) // 6)
+    pairs = format(g.bits, "b")[::-1] if g.bits else ""
+    pairs = pairs.ljust(width, "0")
+    payload = bytes(int(pairs[i:i + 6], 2) + 63 for i in range(0, width, 6))
+    return (head + payload).decode("ascii")

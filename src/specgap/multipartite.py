@@ -12,17 +12,24 @@ each root is isolated in a clean bracket.  This module assembles those
 spectra exactly (root-finding to 1e-12), cross-checks them against a dense
 eigensolve of an equivalent k x k matrix, and implements the bound,
 perturbation, density and vertex-addition results built on top of them.
+
+The census bound checks (the gap/ind bounds for graphs that are not
+complete multipartite, the bipartite gap bound, and the cone and pendant
+vertex additions) each come in a batch form over a list of same-order
+graphs, whose spectra come from one batched eigensolve; for each graph it
+returns the report or the NotApplicableError that the graph raises.  The
+one-graph function of the same name is its one-graph case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import eigen
+from . import census, eigen
 from .graphs import Graph, bipartition, detect_complete_multipartite, pair_index
 from .indices import SpectralIndices, compute_indices
 
@@ -358,6 +365,43 @@ def kmm_plus_e_spectrum(m: int) -> AnalyticSpectrum:
 
 
 # ---------------------------------------------------------------------------
+# batches of census graphs
+
+def _one(outcomes: list) -> Any:
+    """The report of a one-graph batch; its NotApplicableError is raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, NotApplicableError):
+        raise outcome
+    return outcome
+
+
+def _stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """Adjacency stack of a non-empty list of same-order graphs."""
+    if any(g.order != graphs[0].order for g in graphs):
+        raise ValueError("a batch holds graphs of one order")
+    return census._adjacency_stack(graphs)
+
+
+def _spectra(graphs: Sequence[Graph]) -> np.ndarray:
+    return eigen.spectra_batch(_stack(graphs))
+
+
+def _premised(graphs: Sequence[Graph],
+              premise: Callable[[Graph], NotApplicableError | None],
+              report: Callable[[Graph, np.ndarray], Any]) -> list:
+    """Each graph's outcome: the NotApplicableError of its premise, else its
+    report from its spectrum.  The spectra of the graphs that meet the
+    premise come from one batched eigensolve, none when no graph does."""
+    outcomes: list = [premise(g) for g in graphs]
+    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if todo:
+        spectra = _spectra([graphs[i] for i in todo])
+        for i, vals in zip(todo, spectra):
+            outcomes[i] = report(graphs[i], vals)
+    return outcomes
+
+
+# ---------------------------------------------------------------------------
 # bound reports
 
 @dataclass(frozen=True)
@@ -423,10 +467,25 @@ class NonMultipartiteBoundsReport:
 
 
 def nonmultipartite_bounds_check(g: Graph) -> NonMultipartiteBoundsReport:
+    return _one(nonmultipartite_bounds_batch([g]))
+
+
+def nonmultipartite_bounds_batch(graphs: Sequence[Graph]
+                                 ) -> list[NonMultipartiteBoundsReport
+                                           | NotApplicableError]:
+    """nonmultipartite_bounds_check on each of same-order graphs."""
+    return _premised(graphs, _nonmultipartite_premise, _nonmultipartite_report)
+
+
+def _nonmultipartite_premise(g: Graph) -> NotApplicableError | None:
     if detect_complete_multipartite(g) is not None:
-        raise NotApplicableError("graph is complete multipartite")
+        return NotApplicableError("graph is complete multipartite")
+    return None
+
+
+def _nonmultipartite_report(g: Graph, vals: np.ndarray
+                            ) -> NonMultipartiteBoundsReport:
     m = g.order
-    vals = eigen.spectrum(g)
     idx = compute_indices(vals)
     lambda2 = float(vals[1])
     if m % 2 == 0:
@@ -466,22 +525,38 @@ class BipartiteBoundReport:
 def bipartite_gap_bound(g: Graph, zero_tol: float | None = None
                         ) -> BipartiteBoundReport:
     """2 sqrt(d (m - 2d) / (m - k - 2)) check; d avg degree, k the nullity."""
+    return _one(bipartite_gap_bound_batch([g], zero_tol))
+
+
+def bipartite_gap_bound_batch(graphs: Sequence[Graph],
+                              zero_tol: float | None = None
+                              ) -> list[BipartiteBoundReport
+                                        | NotApplicableError]:
+    """bipartite_gap_bound on each of same-order graphs."""
+
+    def report(g: Graph, vals: np.ndarray
+               ) -> BipartiteBoundReport | NotApplicableError:
+        m = g.order
+        k = eigen.nullity(vals, zero_tol)
+        if m - k - 2 <= 0:
+            return NotApplicableError("zero multiplicity too large for the bound")
+        d = 2.0 * g.edge_count / m
+        idx = compute_indices(vals, zero_tol)
+        bound = 2.0 * math.sqrt(d * (m - 2.0 * d) / (m - k - 2.0))
+        return BipartiteBoundReport(
+            order=m, avg_degree=d, nullity=k, gap=idx.gap, bound=bound
+        )
+
+    return _premised(graphs, _bipartite_premise, report)
+
+
+def _bipartite_premise(g: Graph) -> NotApplicableError | None:
     if bipartition(g) is None:
-        raise NotApplicableError("graph is not bipartite")
+        return NotApplicableError("graph is not bipartite")
     parts = detect_complete_multipartite(g)
     if parts is not None and len(parts) == 2:
-        raise NotApplicableError("graph is complete bipartite")
-    m = g.order
-    vals = eigen.spectrum(g)
-    k = eigen.nullity(vals, zero_tol)
-    if m - k - 2 <= 0:
-        raise NotApplicableError("zero multiplicity too large for the bound")
-    d = 2.0 * g.edge_count / m
-    idx = compute_indices(vals, zero_tol)
-    bound = 2.0 * math.sqrt(d * (m - 2.0 * d) / (m - k - 2.0))
-    return BipartiteBoundReport(
-        order=m, avg_degree=d, nullity=k, gap=idx.gap, bound=bound
-    )
+        return NotApplicableError("graph is complete bipartite")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -559,41 +634,64 @@ class PendantReport:
 def cone_lambda_max_bound(g: Graph) -> ConeReport:
     """Join a new vertex to every vertex; lambda_max grows to at least
     (lambda_max + sqrt(lambda_max^2 + 4)) / 2."""
-    m = g.order
-    lam = float(eigen.spectrum(g)[0])
-    bits = g.bits
-    for i in range(m):
-        bits |= 1 << pair_index(i, m)
-    cone = Graph(m + 1, bits)
-    new_lam = float(eigen.spectrum(cone)[0])
-    return ConeReport(
-        base_value=lam,
-        new_value=new_lam,
-        bound=(lam + math.sqrt(lam * lam + 4.0)) / 2.0,
-        new_graph=cone,
-    )
+    return cone_lambda_max_bound_batch([g])[0]
+
+
+def cone_lambda_max_bound_batch(graphs: Sequence[Graph]) -> list[ConeReport]:
+    """cone_lambda_max_bound on each of same-order graphs: one batched
+    eigensolve for the graphs, one for their cones."""
+    if not graphs:
+        return []
+    m = graphs[0].order
+    apex = sum(1 << pair_index(i, m) for i in range(m))
+    cones = [Graph(m + 1, g.bits | apex) for g in graphs]
+    lams = _spectra(graphs)[:, 0].tolist()
+    new_lams = _spectra(cones)[:, 0].tolist()
+    return [
+        ConeReport(
+            base_value=lam,
+            new_value=new_lam,
+            bound=(lam + math.sqrt(lam * lam + 4.0)) / 2.0,
+            new_graph=cone,
+        )
+        for lam, new_lam, cone in zip(lams, new_lams, cones)
+    ]
 
 
 def pendant_lambda_min_bound(g: Graph) -> PendantReport:
     """Attach a pendant at the heaviest coordinate of the lambda_min
     eigenvector; lambda_min drops to at most
     (lambda_min - sqrt(lambda_min^2 + 4/m)) / 2."""
-    m = g.order
-    vals, vecs = eigen.eigensystem(g)
-    lam = float(vals[-1])
-    weights = np.abs(vecs[:, -1])
-    if float(weights.max()) == 0.0:
+    return pendant_lambda_min_bound_batch([g])[0]
+
+
+def pendant_lambda_min_bound_batch(graphs: Sequence[Graph]
+                                   ) -> list[PendantReport]:
+    """pendant_lambda_min_bound on each of same-order graphs: one batched
+    eigensystem for the graphs, one eigensolve for their pendants."""
+    if not graphs:
+        return []
+    m = graphs[0].order
+    vals, vecs = eigen.eigensystems_batch(_stack(graphs))
+    weights = np.abs(vecs[:, :, -1])
+    if not weights.max(axis=1).all():
         raise DegenerateEigenvectorError("lambda_min eigenvector is zero")
-    i0 = int(np.argmax(weights))  # argmax takes the lowest index on ties
-    pendant = Graph(m + 1, g.bits | (1 << pair_index(i0, m)))
-    new_lam = float(eigen.spectrum(pendant)[-1])
-    return PendantReport(
-        base_value=lam,
-        new_value=new_lam,
-        bound=(lam - math.sqrt(lam * lam + 4.0 / m)) / 2.0,
-        attach_vertex=i0,
-        new_graph=pendant,
-    )
+    # argmax takes the lowest index on ties
+    attach = np.argmax(weights, axis=1).tolist()
+    pendants = [Graph(m + 1, g.bits | (1 << pair_index(i0, m)))
+                for g, i0 in zip(graphs, attach)]
+    new_lams = _spectra(pendants)[:, -1].tolist()
+    return [
+        PendantReport(
+            base_value=lam,
+            new_value=new_lam,
+            bound=(lam - math.sqrt(lam * lam + 4.0 / m)) / 2.0,
+            attach_vertex=i0,
+            new_graph=pendant,
+        )
+        for lam, new_lam, i0, pendant
+        in zip(vals[:, -1].tolist(), new_lams, attach, pendants)
+    ]
 
 
 # ---------------------------------------------------------------------------

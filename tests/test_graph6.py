@@ -120,6 +120,16 @@ def test_round_trip_long_form(order, seed):
     assert graph6.decode(s.encode()) == g
 
 
+def test_round_trip_order_1000():
+    # half a million vertex pairs: an encoder that touched the whole payload
+    # once per edge would take minutes here
+    n_bits = pair_count(1000)
+    g = Graph(1000, random.Random(1000).getrandbits(n_bits))
+    s = graph6.encode(g)
+    assert s[:4] == "~?Ng" and len(s) == 4 + (n_bits + 5) // 6
+    assert graph6.decode(s) == g
+
+
 # bytes near the graph6 range, with the length and header forms mixed in
 _NEAR_RANGE = st.lists(st.integers(58, 130), max_size=12).map(bytes)
 _ANY_BYTES = st.one_of(

@@ -1,13 +1,23 @@
 """Closed-form multipartite spectra, perturbed families, bounds, search."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from specgap import eigen, multipartite as mp
-from specgap.graphs import complete, complete_multipartite, cycle, kmm_minus_e, kmm_plus_e, path, star
-from specgap.indices import compute_indices
+from specgap import census, eigen, graph6, multipartite as mp
+from specgap.graphs import (
+    complete,
+    complete_multipartite,
+    cycle,
+    from_edges,
+    kmm_minus_e,
+    kmm_plus_e,
+    path,
+    star,
+)
+from specgap.indices import SpectralIndices, compute_indices
 from specgap.verify import partitions
 
 # frozen from an independent root-finder run (numpy.roots on the reduced
@@ -273,6 +283,132 @@ def test_bipartite_gap_bound_over_census(census6):
         assert r.holds
         checked += 1
     assert checked == 14
+
+
+# ---------------------------------------------------------------------------
+# the batch forms against per-graph dense eigensolves
+
+def _oracle(g):
+    """The four bound outcomes of one graph, derived here from per-graph
+    numpy: eigvalsh for spectra, eigh for the lambda_min eigenvector (the
+    two LAPACK drivers agree on eigenvalues only to rounding)."""
+    m = g.order
+    a = g.adjacency()
+    vals = np.linalg.eigvalsh(a)[::-1]
+    tol = 1e-9 * m
+    slack = 1e-9
+    pos, neg = vals[vals > tol], vals[vals < -tol]
+    lam_plus, lam_minus = float(pos[-1]), float(neg[0])
+    idx = SpectralIndices(
+        lambda_max=float(vals[0]), lambda_min=float(vals[-1]),
+        lambda_plus=lam_plus, lambda_minus=lam_minus,
+        gap=lam_plus - lam_minus, ind=max(lam_plus, -lam_minus),
+        power=float(np.abs(vals).sum()),
+    )
+    # Smith: connected and complete multipartite iff one positive eigenvalue;
+    # bipartite iff the spectrum is symmetric about zero
+    multipartite = pos.size == 1
+    bipartite = np.allclose(vals, -vals[::-1], rtol=0.0, atol=1e-9)
+
+    if multipartite:
+        nonmulti = None
+    else:
+        gap_bound, ind_bound = ((m - 1.0, m / 2.0) if m % 2 == 0
+                                else (m - 1.5, math.sqrt(m * m - 1.0) / 2.0))
+        lambda2, lambda2_bound = float(vals[1]), m // 2 - 1.0
+        nonmulti = mp.NonMultipartiteBoundsReport(
+            order=m, idx=idx, lambda2=lambda2, gap_bound=gap_bound,
+            ind_bound=ind_bound, lambda2_bound=lambda2_bound,
+            premise_ok=(0.0 < lam_plus <= lambda2 + slack
+                        and lambda2 <= lambda2_bound + slack),
+            gap_ok=idx.gap <= gap_bound + slack,
+            ind_ok=idx.ind <= ind_bound + slack,
+        )
+
+    nullity = int(np.count_nonzero(np.abs(vals) <= tol))
+    if not bipartite or multipartite or m - nullity - 2 <= 0:
+        bip = None
+    else:
+        d = 2.0 * g.edge_count / m
+        bip = mp.BipartiteBoundReport(
+            order=m, avg_degree=d, nullity=nullity, gap=idx.gap,
+            bound=2.0 * math.sqrt(d * (m - 2.0 * d) / (m - nullity - 2.0)),
+        )
+
+    edges = g.edges()
+    lam = float(vals[0])
+    cone_adj = np.ones((m + 1, m + 1)) - np.eye(m + 1)
+    cone_adj[:m, :m] = a
+    cone = mp.ConeReport(
+        base_value=lam,
+        new_value=float(np.linalg.eigvalsh(cone_adj)[-1]),
+        bound=(lam + math.sqrt(lam * lam + 4.0)) / 2.0,
+        new_graph=from_edges(m + 1, edges + [(i, m) for i in range(m)]),
+    )
+
+    w, v = np.linalg.eigh(a)
+    lam = float(w[0])
+    i0 = int(np.argmax(np.abs(v[:, 0])))
+    pendant_adj = np.zeros((m + 1, m + 1))
+    pendant_adj[:m, :m] = a
+    pendant_adj[i0, m] = pendant_adj[m, i0] = 1.0
+    pendant = mp.PendantReport(
+        base_value=lam,
+        new_value=float(np.linalg.eigvalsh(pendant_adj)[0]),
+        bound=(lam - math.sqrt(lam * lam + 4.0 / m)) / 2.0,
+        attach_vertex=i0,
+        new_graph=from_edges(m + 1, edges + [(i0, m)]),
+    )
+    return nonmulti, bip, cone, pendant
+
+
+def _outcome(result):
+    # a report, or None for the NotApplicableError of a graph off premise
+    return None if isinstance(result, mp.NotApplicableError) else result
+
+
+def test_batch_reports_match_per_graph_eigensolves(census8_path):
+    by_order = {m: census.enumerate_connected(m) for m in range(2, 8)}
+    with open(census8_path) as fh:
+        lines = fh.read().split()
+    by_order[8] = [graph6.decode(s)
+                   for s in random.Random(8).sample(lines, 300)]
+    seen = [0, 0]
+    for graphs in by_order.values():
+        got = zip(mp.nonmultipartite_bounds_batch(graphs),
+                  mp.bipartite_gap_bound_batch(graphs),
+                  mp.cone_lambda_max_bound_batch(graphs),
+                  mp.pendant_lambda_min_bound_batch(graphs))
+        for g, outcomes in zip(graphs, got):
+            want = _oracle(g)
+            # dataclass equality compares every field, floats exactly
+            got_reports = tuple(map(_outcome, outcomes))
+            assert got_reports == want, graph6.encode(g)
+            assert [r.holds for r in got_reports if r is not None] == \
+                [r.holds for r in want if r is not None]
+            seen[0] += want[0] is not None
+            seen[1] += want[1] is not None
+    # graphs on premise among the 1,295 (the rest are off it), so both
+    # branches of each premised batch ran
+    assert seen == [1258, 61]
+
+
+def test_batch_of_no_graphs_and_of_mixed_orders():
+    for batch in (mp.nonmultipartite_bounds_batch, mp.bipartite_gap_bound_batch,
+                  mp.cone_lambda_max_bound_batch,
+                  mp.pendant_lambda_min_bound_batch):
+        assert batch([]) == []
+        with pytest.raises(ValueError, match="one order"):
+            batch([path(4), path(5)])
+
+
+def test_one_graph_check_raises_the_batch_outcome():
+    with pytest.raises(mp.NotApplicableError, match="complete bipartite"):
+        mp.bipartite_gap_bound(star(5))
+    [outcome] = mp.bipartite_gap_bound_batch([star(5)])
+    assert str(outcome) == "graph is complete bipartite"
+    assert mp.nonmultipartite_bounds_check(path(6)) == \
+        mp.nonmultipartite_bounds_batch([path(6)])[0]
 
 
 # ---------------------------------------------------------------------------

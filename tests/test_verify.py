@@ -4,10 +4,16 @@ import math
 
 import pytest
 
-from specgap import graph6, verify
+from specgap import census, eigen, graph6, multipartite, verify
 from specgap.census import SOURCE_BLOCK, MixedOrdersError
-from specgap.graphs import Graph, complete, path
-from specgap.verify import partitions, run_check
+from specgap.graphs import (
+    Graph,
+    complete,
+    complete_multipartite,
+    detect_complete_multipartite,
+    path,
+)
+from specgap.verify import SWEEP_BLOCK, partitions, run_check
 
 
 def _g6_file(tmp_path, graphs, name="census.g6"):
@@ -158,3 +164,63 @@ def test_suite_result_semantics():
     assert not r.passed  # vacuous runs do not count as passing
     r = verify.SuiteResult(name="x", checked=1, skipped=0, failures=("bad",))
     assert not r.passed
+
+
+def test_census_suites_on_the_order8_file(census8_path):
+    tallies = {name: run_check(name, 8, census8_path)
+               for name in ("prop2a", "bipartite-bound", "vertex-add",
+                            "classical")}
+    assert {name: (r.checked, r.skipped, r.failures)
+            for name, r in tallies.items()} == {
+        "prop2a": (11096, 21, ()),
+        "bipartite-bound": (178, 10939, ()),
+        "vertex-add": (11117, 0, ()),
+        "classical": (5, 0, ()),
+    }
+
+
+def test_vertex_add_failures_keep_file_order_across_blocks(
+        tmp_path, census7, monkeypatch):
+    # a slack this negative fails every cone and every pendant report
+    monkeypatch.setattr(multipartite, "_SLACK", -1e9)
+    graphs = census7[:2 * SWEEP_BLOCK + 37]
+    result = run_check("vertex-add", 7, _g6_file(tmp_path, graphs))
+    assert (result.checked, result.skipped) == (len(graphs), 0)
+    assert result.failures == tuple(
+        tag + graph6.encode(g) for g in graphs for tag in ("cone:", "pendant:")
+    )
+
+
+def test_prop2a_skips_a_block_without_an_eigensolve(
+        tmp_path, census6, monkeypatch):
+    # the middle block is all complete multipartite graphs: no graph in it
+    # meets the premise, so it gets no adjacency stack at all
+    multi = [complete_multipartite(p) for p in partitions(6)]
+    graphs = ([census6[i % len(census6)] for i in range(SWEEP_BLOCK)]
+              + [multi[i % len(multi)] for i in range(SWEEP_BLOCK)]
+              + census6)
+    stacked = []
+    build = census._adjacency_stack
+
+    def spy(block):
+        stacked.append(len(block))
+        return build(block)
+
+    monkeypatch.setattr(census, "_adjacency_stack", spy)
+    result = run_check("prop2a", 6, _g6_file(tmp_path, graphs))
+    on_premise = [detect_complete_multipartite(g) is None for g in graphs]
+    assert stacked == [sum(on_premise[:SWEEP_BLOCK]),
+                       sum(on_premise[2 * SWEEP_BLOCK:])]
+    assert (result.checked, result.skipped) == (sum(on_premise),
+                                                on_premise.count(False))
+    assert result.passed
+
+
+@pytest.mark.parametrize("check", ["prop2a", "bipartite-bound", "vertex-add"])
+def test_census_bound_suites_solve_no_graph_on_its_own(monkeypatch, check):
+    def per_graph(g):
+        raise AssertionError(f"per-graph eigensolve of {graph6.encode(g)}")
+
+    monkeypatch.setattr(eigen, "spectrum", per_graph)
+    monkeypatch.setattr(eigen, "eigensystem", per_graph)
+    assert run_check(check, 6).passed
