@@ -36,7 +36,10 @@ from .graphs import (
 from .indices import compute_indices
 
 _TOL = 1e-8
-SWEEP_BLOCK = 256  # census graphs per batched bound check
+# census graphs per batched bound check; at 256 the transient arrays of a
+# vertex-add block (order-8 eigenvectors, order-9 stacks) pass glibc's heap
+# trim threshold, so each block gave its pages back and faulted them in again
+SWEEP_BLOCK = 128
 
 
 class NoCensusError(ValueError):
