@@ -20,9 +20,10 @@ results are identical for any thread count.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import os
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -30,8 +31,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import eigen, graph6
-from .graphs import Graph, is_connected, pair_count
-from .indices import INDEX_NAMES, IndexStats, StatsSummary, indices_batch
+from .graphs import (Graph, _adjacency_stack, _connected, _edge_masks,
+                     is_connected)
+from .indices import INDEX_NAMES, IndexStats, indices_batch
 
 log = logging.getLogger(__name__)
 
@@ -193,47 +195,6 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# batches of edge masks
-
-def _edge_masks(graphs: Sequence[Graph]) -> np.ndarray | None:
-    """The edge bitsets of same-order graphs as a uint64 array, or None
-    when the order has more than 63 vertex pairs."""
-    if pair_count(graphs[0].order) > 63:
-        return None
-    return np.fromiter((g.bits for g in graphs), dtype=np.uint64,
-                       count=len(graphs))
-
-
-def _connected(masks: np.ndarray, m: int) -> np.ndarray:
-    """Which of these order-m edge masks are connected graphs.
-
-    A bitmask breadth-first search from vertex 0 over per-vertex
-    neighbor-mask arrays, for the whole array at once: at most m-1 frontier
-    rounds, fewer once no frontier is left.
-    """
-    one = np.uint64(1)
-    nb = [np.zeros_like(masks) for _ in range(m)]
-    p = 0
-    for j in range(1, m):
-        for i in range(j):
-            edge = (masks >> np.uint64(p)) & one
-            nb[i] |= edge << np.uint64(j)
-            nb[j] |= edge << np.uint64(i)
-            p += 1
-    visited = np.ones_like(masks)
-    frontier = visited
-    for _ in range(m - 1):
-        step = np.zeros_like(masks)
-        for v in range(m):
-            step |= nb[v] * ((frontier >> np.uint64(v)) & one)
-        frontier = step & ~visited
-        if not frontier.any():
-            break
-        visited |= frontier
-    return visited == np.uint64((1 << m) - 1)
-
-
-# ---------------------------------------------------------------------------
 # graph6 file ingestion
 
 class Graph6Source:
@@ -311,17 +272,15 @@ class Histogram:
 
     def __init__(self, width: float = HIST_BIN_WIDTH) -> None:
         self.width = width
-        self.counts: dict[int, int] = {}
+        self.counts: Counter[int] = Counter()
 
     def update_many(self, values: np.ndarray) -> None:
         bins = np.floor(np.asarray(values, dtype=float) / self.width).astype(np.int64)
         uniq, cnt = np.unique(bins, return_counts=True)
-        for b, c in zip(uniq.tolist(), cnt.tolist()):
-            self.counts[b] = self.counts.get(b, 0) + c
+        self.counts.update(dict(zip(uniq.tolist(), cnt.tolist())))
 
     def absorb(self, other: "Histogram") -> None:
-        for b, c in other.counts.items():
-            self.counts[b] = self.counts.get(b, 0) + c
+        self.counts.update(other.counts)
 
     def rows(self) -> list[tuple[float, float, int]]:
         return [
@@ -340,54 +299,15 @@ class CensusReport:
     histograms: dict[str, Histogram]
     rejected_disconnected: int = 0
 
-    def summaries(self) -> dict[str, StatsSummary]:
-        return {name: self.stats[name].finalize() for name in INDEX_NAMES}
-
-
-def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    m = graphs[0].order
-    n_pairs = pair_count(m)
-    n = len(graphs)
-    mats = np.zeros((n, m, m))
-    pairs = [(i, j) for j in range(1, m) for i in range(j)]
-    iu = np.asarray([i for i, _ in pairs], dtype=np.intp)
-    ju = np.asarray([j for _, j in pairs], dtype=np.intp)
-    masks = _edge_masks(graphs)
-    if masks is not None:
-        cols = (masks[:, None] >> np.arange(n_pairs, dtype=np.uint64)) & np.uint64(1)
-        cols = cols.astype(float)
-    else:  # huge orders: plain per-graph fill
-        cols = np.zeros((n, n_pairs))
-        for r, g in enumerate(graphs):
-            rest = g.bits
-            while rest:
-                low = rest & -rest
-                cols[r, low.bit_length() - 1] = 1.0
-                rest &= rest - 1
-    mats[:, iu, ju] = cols
-    mats[:, ju, iu] = cols
-    return mats
-
-
 def _chunk_payload(graphs: list[Graph], zero_tol: float | None):
     vals = eigen.spectra_batch(_adjacency_stack(graphs))
     per_index = indices_batch(vals, zero_tol)
-    g6_cache: dict[int, str] = {}
-
-    def witness(i: int) -> str:
-        if i not in g6_cache:
-            g6_cache[i] = graph6.encode(graphs[i])
-        return g6_cache[i]
-
-    stats = {}
-    hists = {}
+    witness = functools.cache(lambda i: graph6.encode(graphs[i]))
+    stats = {name: IndexStats() for name in INDEX_NAMES}
+    hists = {name: Histogram() for name in INDEX_NAMES}
     for name in INDEX_NAMES:
-        st = IndexStats()
-        st.update_many(per_index[name], witness)
-        stats[name] = st
-        h = Histogram()
-        h.update_many(per_index[name])
-        hists[name] = h
+        stats[name].update_many(per_index[name], witness)
+        hists[name].update_many(per_index[name])
     return len(graphs), stats, hists
 
 
@@ -477,11 +397,7 @@ def extremal(source: Iterable[Graph], index: str, direction: str,
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
     report = run_census(source, zero_tol)
-    summary = report.stats[index].finalize()
-    if direction == "min":
-        value, wits, over = summary.minimum, summary.min_witnesses, summary.min_overflow
-    else:
-        value, wits, over = summary.maximum, summary.max_witnesses, summary.max_overflow
+    value, wits, over = report.stats[index].finalize().extreme(direction)
     assert value is not None  # count >= 1 guaranteed by run_census
     return ExtremalResult(
         index=index, direction=direction, value=value,

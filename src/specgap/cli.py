@@ -36,9 +36,10 @@ def _print_analytic(spec: multipartite.AnalyticSpectrum) -> None:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     g = graph6.decode(args.graph)
     vals = eigen.spectrum(g)
+    nullity = eigen.nullity(vals, args.zero_tol)
     print(f"order {g.order} edges {g.edge_count}")
     print("spectrum " + " ".join(format_float(v) for v in vals))
-    print(f"nullity {eigen.nullity(vals, args.zero_tol)}")
+    print(f"nullity {nullity}")
     return 0
 
 
@@ -180,15 +181,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of one graph6 graph")
-    p.add_argument("graph", help="graph6 string")
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.set_defaults(fn=_cmd_spectrum)
-
-    p = sub.add_parser("indices", help="spectral indices of one graph6 graph")
-    p.add_argument("graph", help="graph6 string")
-    p.add_argument("--zero-tol", type=float, default=None)
-    p.set_defaults(fn=_cmd_indices)
+    for name, what, fn in (("spectrum", "eigenvalues", _cmd_spectrum),
+                           ("indices", "spectral indices", _cmd_indices)):
+        p = sub.add_parser(name, help=f"{what} of one graph6 graph")
+        p.add_argument("graph", help="graph6 string")
+        p.add_argument("--zero-tol", type=float, default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("multipartite", help="closed-form multipartite spectrum")
     p.add_argument("--parts", type=_parse_parts, required=True,
@@ -256,6 +254,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command in ("census", "extremal"):
         if (args.order is None) == (args.file is None):
             parser.error("give exactly one of --order or --file")
+    if args.command == "census" and min(args.threads, args.chunk_size) < 1:
+        parser.error("--threads and --chunk-size must be at least 1")
     try:
         return args.fn(args)
     except (ValueError, OSError, multipartite.SearchBudgetExceededError) as exc:

@@ -7,7 +7,7 @@ NonConvergenceError rather than a raw LinAlgError.
 
 The shared zero classification rule lives here: an eigenvalue counts as
 zero when |value| <= zero_tol, and the default tolerance scales with the
-matrix order as 1e-9 * m.
+matrix order as 1e-9 * m.  A tolerance must be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -25,6 +25,15 @@ def default_zero_tol(order: int) -> float:
     return 1e-9 * order
 
 
+def zero_tolerance(order: int, zero_tol: float | None = None) -> float:
+    """The zero tolerance for spectra of this order: zero_tol, else the
+    default.  Raises ValueError unless it is finite and non-negative."""
+    tol = default_zero_tol(order) if zero_tol is None else zero_tol
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"zero tolerance must be finite and >= 0, not {tol}")
+    return tol
+
+
 def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of a symmetric matrix."""
     a = np.asarray(a, dtype=float)
@@ -32,11 +41,7 @@ def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix is not symmetric")
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK safety net
-        raise NonConvergenceError(str(exc)) from exc
-    return vals[::-1].copy()
+    return spectra_batch(a[None])[0].copy()
 
 
 def spectrum(g: Graph) -> np.ndarray:
@@ -80,5 +85,5 @@ def eigensystems_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def nullity(values: np.ndarray, zero_tol: float | None = None) -> int:
     """Number of eigenvalues classified as zero."""
     values = np.asarray(values, dtype=float)
-    tol = default_zero_tol(values.size) if zero_tol is None else zero_tol
+    tol = zero_tolerance(values.size, zero_tol)
     return int(np.count_nonzero(np.abs(values) <= tol))

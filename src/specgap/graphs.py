@@ -5,6 +5,11 @@ bit ``pair_index(i, j)`` is set iff the edge {i, j} is present.  Pairs are
 numbered column-major over the strict upper triangle, i.e. (0,1), (0,2),
 (1,2), (0,3), ..., which makes the bitset order-compatible with the graph6
 serialization and lets a vertex-relabeling act as a pure bit permutation.
+
+The structure tests come in batch forms over a list of same-order graphs,
+run on arrays of per-vertex neighbor masks: bipartite_batch and
+complete_multipartite_batch, whose one-graph calls are bipartition and
+detect_complete_multipartite.
 """
 
 from __future__ import annotations
@@ -63,12 +68,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (i, j) with i < j, in bitset order."""
-        out = []
-        for j in range(1, self.order):
-            row = (self.bits >> pair_count(j)) & ((1 << j) - 1)
-            for i in _bits_of(row):
-                out.append((i, j))
-        return out
+        return [(i, j) for j in range(1, self.order)
+                for i in _bits_of((self.bits >> pair_count(j)) & ((1 << j) - 1))]
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor sets as bitmasks over vertex indices."""
@@ -83,10 +84,7 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (float64)."""
-        a = np.zeros((self.order, self.order))
-        for i, j in self.edges():
-            a[i, j] = a[j, i] = 1.0
-        return a
+        return _adjacency_stack([self])[0]
 
     def complement(self) -> "Graph":
         return Graph(self.order, ~self.bits & ((1 << pair_count(self.order)) - 1))
@@ -146,16 +144,10 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise InvalidParamsError("parts must be positive integers")
     if len(parts) < 2:
         raise InvalidParamsError("need at least two parts")
-    m = sum(parts)
-    g = complete(m)
-    bits = g.bits
-    off = 0
-    for p in parts:
-        for j in range(off + 1, off + p):
-            for i in range(off, j):
-                bits &= ~(1 << pair_index(i, j))
-        off += p
-    return Graph(m, bits)
+    label = [k for k, p in enumerate(parts) for _ in range(int(p))]
+    m = len(label)
+    return from_edges(m, [(i, j) for j in range(m) for i in range(j)
+                          if label[i] != label[j]])
 
 
 def kmm_minus_e(m: int) -> Graph:
@@ -212,19 +204,15 @@ def construct(family: str, params: Sequence[int]) -> Graph:
 # structure tests
 
 def is_connected(g: Graph) -> bool:
-    if g.order == 1:
-        return True
     nb = g.neighbor_masks()
-    full = (1 << g.order) - 1
-    visited = 1
-    frontier = 1
+    visited = frontier = 1
     while frontier:
         step = 0
         for i in _bits_of(frontier):
             step |= nb[i]
         frontier = step & ~visited
         visited |= frontier
-    return visited == full
+    return visited == (1 << g.order) - 1
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -232,53 +220,125 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 
     The class containing vertex 0 comes first; classes are sorted tuples.
     """
-    nb = g.neighbor_masks()
-    color = [-1] * g.order
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in _bits_of(nb[v]):
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                return None
-    if -1 in color:
-        return None  # disconnected input: refuse to guess a coloring
-    side0 = tuple(i for i in range(g.order) if color[i] == 0)
-    side1 = tuple(i for i in range(g.order) if color[i] == 1)
-    return side0, side1
+    ok, even = bipartite_batch([g])
+    if not ok[0]:
+        return None
+    side0 = int(even[0])
+    return (tuple(i for i in range(g.order) if side0 >> i & 1),
+            tuple(i for i in range(g.order) if not side0 >> i & 1))
 
 
 def detect_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
-    """Part sizes (ascending) if g is complete multipartite with >= 2 parts.
-
-    A graph is complete multipartite exactly when its complement is a
-    disjoint union of cliques (the parts).  Returns None otherwise, and for
-    the edgeless single-part case.
-    """
-    m = g.order
-    full = (1 << m) - 1
-    nb = g.neighbor_masks()
-    co_nb = [~nb[i] & full & ~(1 << i) for i in range(m)]
-    unseen = full
-    parts = []
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            step = 0
-            for i in _bits_of(frontier):
-                step |= co_nb[i]
-            frontier = step & ~comp
-            comp |= frontier
-        for i in _bits_of(comp):
-            if co_nb[i] & comp != comp & ~(1 << i):
-                return None  # complement component is not a clique
-        parts.append(comp.bit_count())
-        unseen &= ~comp
-    if len(parts) < 2:
+    """Part sizes (ascending) if g is complete multipartite with >= 2 parts,
+    else None; vertex v lies in a part of m - deg(v) vertices."""
+    if not complete_multipartite_batch([g])[0]:
         return None
-    return tuple(sorted(parts))
+    sizes = [g.order - d for d in g.degrees()]
+    return tuple(s for s in sorted(set(sizes))
+                 for _ in range(sizes.count(s) // s))
+
+
+# ---------------------------------------------------------------------------
+# batches of same-order graphs
+#
+# A batch's neighbor masks: for each vertex v, an array of v's neighbor mask
+# in every graph, uint64 up to 64 vertices and Python ints (object arrays)
+# beyond.  Shift amounts are Python ints, so the same code serves both.
+
+def _edge_masks(graphs: Sequence[Graph]) -> np.ndarray | None:
+    """The edge bitsets of same-order graphs as a uint64 array, or None
+    when the order has more than 63 vertex pairs."""
+    if pair_count(graphs[0].order) > 63:
+        return None
+    return np.fromiter((g.bits for g in graphs), dtype=np.uint64,
+                       count=len(graphs))
+
+
+def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The (n, m, m) float adjacency matrices of same-order graphs."""
+    m = graphs[0].order
+    n_pairs = pair_count(m)
+    n = len(graphs)
+    mats = np.zeros((n, m, m))
+    ju, iu = np.tril_indices(m, -1)  # the pairs (i, j) in bitset order
+    masks = _edge_masks(graphs)
+    if masks is not None:
+        cols = (masks[:, None] >> np.arange(n_pairs, dtype=np.uint64)) & np.uint64(1)
+        cols = cols.astype(float)
+    else:  # huge orders: unpack each bitset's bytes
+        size = (n_pairs + 7) // 8
+        raw = b"".join(g.bits.to_bytes(size, "little") for g in graphs)
+        cols = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(n, size),
+                             axis=1, count=n_pairs, bitorder="little")
+    mats[:, iu, ju] = cols
+    mats[:, ju, iu] = cols
+    return mats
+
+
+def _mask_neighbors(masks: np.ndarray, m: int) -> list[np.ndarray]:
+    """Neighbor masks of the order-m graphs with these uint64 edge masks."""
+    nb = [np.zeros_like(masks) for _ in range(m)]
+    p = 0
+    for j in range(1, m):
+        for i in range(j):
+            edge = (masks >> p) & 1
+            nb[i] |= edge << j
+            nb[j] |= edge << i
+            p += 1
+    return nb
+
+
+def _neighbors(graphs: Sequence[Graph]) -> list[np.ndarray]:
+    """Neighbor masks of a non-empty batch of same-order graphs."""
+    masks = _edge_masks(graphs)
+    if masks is not None:
+        return _mask_neighbors(masks, graphs[0].order)
+    dtype = np.uint64 if graphs[0].order <= 64 else object
+    return list(np.array([g.neighbor_masks() for g in graphs], dtype=dtype).T)
+
+
+def _bfs(nb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bitmask breadth-first search from vertex 0, for a whole batch at once.
+
+    Per graph: the vertices reached, those at even distance from vertex 0,
+    and whether an edge joins two vertices of one layer (an odd cycle).
+    """
+    layers = [np.ones_like(nb[0]), np.zeros_like(nb[0])]  # even, odd
+    clash = np.zeros_like(nb[0])
+    frontier, depth = layers[0], 0
+    while frontier.any():
+        step = np.zeros_like(frontier)
+        for v, x in enumerate(nb):
+            step |= x * ((frontier >> v) & 1)
+        clash |= step & frontier
+        depth += 1
+        frontier = step & ~(layers[0] | layers[1])
+        layers[depth % 2] = layers[depth % 2] | frontier
+    return layers[0] | layers[1], layers[0], clash != 0
+
+
+def _connected(masks: np.ndarray, m: int) -> np.ndarray:
+    """Which of these order-m uint64 edge masks are connected graphs."""
+    return _bfs(_mask_neighbors(masks, m))[0] == (1 << m) - 1
+
+
+def bipartite_batch(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
+    """Which of a non-empty list of same-order graphs are connected and
+    bipartite, and the mask of each one's vertices at even distance from
+    vertex 0."""
+    nb = _neighbors(graphs)
+    reached, even, clash = _bfs(nb)
+    return (reached == (1 << len(nb)) - 1) & ~clash, even
+
+
+def complete_multipartite_batch(graphs: Sequence[Graph]) -> np.ndarray:
+    """Which of a non-empty list of same-order graphs are complete
+    multipartite with at least two parts: those with an edge in which every
+    two non-adjacent vertices have the same neighbors (non-adjacency is then
+    an equivalence relation, and its classes are the parts)."""
+    nb = _neighbors(graphs)
+    ok = np.logical_or.reduce([x != 0 for x in nb])
+    for v in range(1, len(nb)):
+        for u in range(v):
+            ok &= (((nb[u] >> v) & 1) != 0) | (nb[u] == nb[v])
+    return ok

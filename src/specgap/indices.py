@@ -25,13 +25,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eigen import default_zero_tol
+from .eigen import zero_tolerance
 
 WITNESS_BAND = 1e-9
 WITNESS_CAP = 16
 
-# public names of the tracked indices, in reporting order
+# public names of the tracked indices, in reporting order, and the names of
+# all SpectralIndices fields, in field order
 INDEX_NAMES = ("lambda_max", "lambda_min", "gap", "ind", "pow")
+_FIELDS = ("lambda_max", "lambda_min", "lambda_plus", "lambda_minus", "gap",
+           "ind", "pow")
 
 
 class DegenerateSpectrumError(ValueError):
@@ -53,12 +56,9 @@ class SpectralIndices:
     power: float
 
     def by_name(self, name: str) -> float:
-        if name == "pow":
-            return self.power
-        if name not in ("lambda_max", "lambda_min", "lambda_plus",
-                        "lambda_minus", "gap", "ind"):
+        if name not in _FIELDS:
             raise KeyError(name)
-        return getattr(self, name)
+        return getattr(self, "power" if name == "pow" else name)
 
 
 def compute_indices(values: Sequence[float] | np.ndarray,
@@ -67,53 +67,60 @@ def compute_indices(values: Sequence[float] | np.ndarray,
     arr = np.sort(np.asarray(values, dtype=float))[::-1]
     if arr.size == 0:
         raise DegenerateSpectrumError("empty spectrum")
-    tol = default_zero_tol(arr.size) if zero_tol is None else zero_tol
-    pos = arr[arr > tol]
-    neg = arr[arr < -tol]
-    if pos.size == 0 or neg.size == 0:
+    return index_rows(index_table(arr[None], zero_tol))[0]
+
+
+def index_table(vals_desc: np.ndarray, zero_tol: float | None = None
+                ) -> dict[str, np.ndarray]:
+    """Every index of each row of a (n, m) array of descending spectra: a
+    column per SpectralIndices field (power as ``pow``), ``nullity``, and
+    ``degenerate`` for a row without eigenvalues of both signs beyond
+    tolerance, whose sign-dependent columns mean nothing."""
+    vals = np.asarray(vals_desc, dtype=float)
+    n, m = vals.shape
+    tol = zero_tolerance(m, zero_tol)
+    pos_counts = (vals > tol).sum(axis=1)
+    neg_counts = (vals < -tol).sum(axis=1)
+    rows = np.arange(n)
+    lam_plus = vals[rows, pos_counts - 1]
+    lam_minus = vals[rows, (m - neg_counts) % m]
+    return {
+        "lambda_max": vals[:, 0].copy(),
+        "lambda_min": vals[:, -1].copy(),
+        "lambda_plus": lam_plus,
+        "lambda_minus": lam_minus,
+        "gap": lam_plus - lam_minus,
+        "ind": np.maximum(lam_plus, -lam_minus),
+        "pow": np.abs(vals).sum(axis=1),
+        "nullity": m - pos_counts - neg_counts,
+        "degenerate": (pos_counts == 0) | (neg_counts == 0),
+    }
+
+
+def index_rows(table: dict[str, np.ndarray], rows: np.ndarray | None = None
+               ) -> list[SpectralIndices]:
+    """The rows of an index_table (those ``rows`` selects, else all), as
+    compute_indices gives them; a degenerate row raises."""
+    if rows is not None:
+        table = {name: column[rows] for name, column in table.items()}
+    if table["degenerate"].any():
         raise DegenerateSpectrumError(
             "spectrum has no eigenvalues of both signs beyond tolerance"
         )
-    lam_plus = float(pos[-1])
-    lam_minus = float(neg[0])
-    return SpectralIndices(
-        lambda_max=float(arr[0]),
-        lambda_min=float(arr[-1]),
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
-        gap=lam_plus - lam_minus,
-        ind=max(lam_plus, -lam_minus),
-        power=float(np.abs(arr).sum()),
-    )
+    return [SpectralIndices(*row)
+            for row in zip(*(table[name].tolist() for name in _FIELDS))]
 
 
 def indices_batch(vals_desc: np.ndarray, zero_tol: float | None = None
                   ) -> dict[str, np.ndarray]:
-    """Vectorized indices for a (n, m) array of descending spectra.
-
-    Semantically identical to calling compute_indices row by row (tested as
-    such); used by the census pipeline.
-    """
-    vals = np.asarray(vals_desc, dtype=float)
-    n, m = vals.shape
-    tol = default_zero_tol(m) if zero_tol is None else zero_tol
-    pos_counts = (vals > tol).sum(axis=1)
-    neg_counts = (vals < -tol).sum(axis=1)
-    bad = np.nonzero((pos_counts == 0) | (neg_counts == 0))[0]
+    """index_table of a census chunk, which must hold no degenerate row."""
+    table = index_table(vals_desc, zero_tol)
+    bad = np.flatnonzero(table["degenerate"])
     if bad.size:
         raise DegenerateSpectrumError(
             f"row {bad[0]}: spectrum lacks eigenvalues of both signs"
         )
-    rows = np.arange(n)
-    lam_plus = vals[rows, pos_counts - 1]
-    lam_minus = vals[rows, m - neg_counts]
-    return {
-        "lambda_max": vals[:, 0].copy(),
-        "lambda_min": vals[:, -1].copy(),
-        "gap": lam_plus - lam_minus,
-        "ind": np.maximum(lam_plus, -lam_minus),
-        "pow": np.abs(vals).sum(axis=1),
-    }
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,13 @@ class StatsSummary:
     min_overflow: int
     max_overflow: int
 
+    def extreme(self, direction: str
+                ) -> tuple[float | None, tuple[str, ...], int]:
+        """Value, witnesses and overflow of the "min" or "max" extreme."""
+        if direction == "min":
+            return self.minimum, self.min_witnesses, self.min_overflow
+        return self.maximum, self.max_witnesses, self.max_overflow
+
 
 class IndexStats:
     """One-pass moment accumulator with mergeable state.
@@ -246,10 +260,8 @@ class IndexStats:
 
     def update(self, value: float, witness: str | None = None) -> None:
         """Add one observation, optionally labeled (e.g. a graph6 string)."""
-        value = float(value)
-        self._combine(1, value, 0.0, 0.0, 0.0)
-        self._min.offer(value, witness)
-        self._max.offer(value, witness)
+        self.update_many(np.array([value], dtype=float),
+                         None if witness is None else lambda _: witness)
 
     def update_many(self, values: np.ndarray,
                     witness_for: Callable[[int], str] | None = None) -> None:

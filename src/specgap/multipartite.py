@@ -16,9 +16,11 @@ perturbation, density and vertex-addition results built on top of them.
 The census bound checks (the gap/ind bounds for graphs that are not
 complete multipartite, the bipartite gap bound, and the cone and pendant
 vertex additions) each come in a batch form over a list of same-order
-graphs, whose spectra come from one batched eigensolve; for each graph it
-returns the report or the NotApplicableError that the graph raises.  The
-one-graph function of the same name is its one-graph case.
+graphs.  A batch decides its premise for every graph at once, on neighbor
+masks; the spectra come from one batched eigensolve and the indices from
+one index_table.  For each graph it returns the report or the
+NotApplicableError that the graph raises.  The one-graph function of the
+same name is its one-graph case.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import census, eigen
-from .graphs import Graph, bipartition, detect_complete_multipartite, pair_index
-from .indices import SpectralIndices, compute_indices
+from .graphs import Graph, bipartite_batch, complete_multipartite_batch, pair_index
+from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
+from .indices import SpectralIndices, compute_indices, index_rows, index_table
 
 # constants of the connected-graph count approximation (anchored at order 9)
 APPROX_ANCHOR_COUNT = 261080.0
@@ -375,29 +378,32 @@ def _one(outcomes: list) -> Any:
     return outcome
 
 
-def _stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """Adjacency stack of a non-empty list of same-order graphs."""
+def _batch(graphs: Sequence[Graph]) -> bool:
+    """Whether a batch holds any graph; ValueError if it mixes orders."""
     if any(g.order != graphs[0].order for g in graphs):
         raise ValueError("a batch holds graphs of one order")
-    return census._adjacency_stack(graphs)
+    return bool(graphs)
 
 
 def _spectra(graphs: Sequence[Graph]) -> np.ndarray:
-    return eigen.spectra_batch(_stack(graphs))
+    return eigen.spectra_batch(census._adjacency_stack(graphs))
 
 
 def _premised(graphs: Sequence[Graph],
-              premise: Callable[[Graph], NotApplicableError | None],
-              report: Callable[[Graph, np.ndarray], Any]) -> list:
-    """Each graph's outcome: the NotApplicableError of its premise, else its
-    report from its spectrum.  The spectra of the graphs that meet the
-    premise come from one batched eigensolve, none when no graph does."""
-    outcomes: list = [premise(g) for g in graphs]
+              premise: Callable[[Sequence[Graph]], list],
+              reports: Callable[[Sequence[Graph], np.ndarray], list]) -> list:
+    """Each graph's outcome: the NotApplicableError of its premise (None
+    where it holds), else its report from reports, which gets the graphs
+    that meet it and their spectra from one batched eigensolve, none when
+    no graph does."""
+    if not _batch(graphs):
+        return []
+    outcomes = premise(graphs)
     todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if todo:
-        spectra = _spectra([graphs[i] for i in todo])
-        for i, vals in zip(todo, spectra):
-            outcomes[i] = report(graphs[i], vals)
+        chosen = [graphs[i] for i in todo]
+        for i, outcome in zip(todo, reports(chosen, _spectra(chosen))):
+            outcomes[i] = outcome
     return outcomes
 
 
@@ -474,37 +480,38 @@ def nonmultipartite_bounds_batch(graphs: Sequence[Graph]
                                  ) -> list[NonMultipartiteBoundsReport
                                            | NotApplicableError]:
     """nonmultipartite_bounds_check on each of same-order graphs."""
-    return _premised(graphs, _nonmultipartite_premise, _nonmultipartite_report)
+    return _premised(graphs, _nonmultipartite_premise, _nonmultipartite_reports)
 
 
-def _nonmultipartite_premise(g: Graph) -> NotApplicableError | None:
-    if detect_complete_multipartite(g) is not None:
-        return NotApplicableError("graph is complete multipartite")
-    return None
+def _nonmultipartite_premise(graphs: Sequence[Graph]) -> list:
+    return [NotApplicableError("graph is complete multipartite") if multi
+            else None for multi in complete_multipartite_batch(graphs).tolist()]
 
 
-def _nonmultipartite_report(g: Graph, vals: np.ndarray
-                            ) -> NonMultipartiteBoundsReport:
-    m = g.order
-    idx = compute_indices(vals)
-    lambda2 = float(vals[1])
+def _nonmultipartite_reports(graphs: Sequence[Graph], vals: np.ndarray
+                             ) -> list[NonMultipartiteBoundsReport]:
+    m = graphs[0].order
     if m % 2 == 0:
         gap_bound, ind_bound = m - 1.0, m / 2.0
     else:
         gap_bound, ind_bound = m - 1.5, math.sqrt(m * m - 1.0) / 2.0
     lambda2_bound = m // 2 - 1.0
-    return NonMultipartiteBoundsReport(
-        order=m,
-        idx=idx,
-        lambda2=lambda2,
-        gap_bound=gap_bound,
-        ind_bound=ind_bound,
-        lambda2_bound=lambda2_bound,
-        premise_ok=(0.0 < idx.lambda_plus <= lambda2 + _SLACK
-                    and lambda2 <= lambda2_bound + _SLACK),
-        gap_ok=idx.gap <= gap_bound + _SLACK,
-        ind_ok=idx.ind <= ind_bound + _SLACK,
-    )
+    indices = index_rows(index_table(vals))
+    return [
+        NonMultipartiteBoundsReport(
+            order=m,
+            idx=idx,
+            lambda2=lambda2,
+            gap_bound=gap_bound,
+            ind_bound=ind_bound,
+            lambda2_bound=lambda2_bound,
+            premise_ok=(0.0 < idx.lambda_plus <= lambda2 + _SLACK
+                        and lambda2 <= lambda2_bound + _SLACK),
+            gap_ok=idx.gap <= gap_bound + _SLACK,
+            ind_ok=idx.ind <= ind_bound + _SLACK,
+        )
+        for idx, lambda2 in zip(indices, vals[:, 1].tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -534,29 +541,38 @@ def bipartite_gap_bound_batch(graphs: Sequence[Graph],
                                         | NotApplicableError]:
     """bipartite_gap_bound on each of same-order graphs."""
 
-    def report(g: Graph, vals: np.ndarray
-               ) -> BipartiteBoundReport | NotApplicableError:
-        m = g.order
-        k = eigen.nullity(vals, zero_tol)
-        if m - k - 2 <= 0:
-            return NotApplicableError("zero multiplicity too large for the bound")
-        d = 2.0 * g.edge_count / m
-        idx = compute_indices(vals, zero_tol)
-        bound = 2.0 * math.sqrt(d * (m - 2.0 * d) / (m - k - 2.0))
-        return BipartiteBoundReport(
-            order=m, avg_degree=d, nullity=k, gap=idx.gap, bound=bound
-        )
+    def reports(graphs: Sequence[Graph], vals: np.ndarray
+                ) -> list[BipartiteBoundReport | NotApplicableError]:
+        m = graphs[0].order
+        table = index_table(vals, zero_tol)
+        indices = iter(index_rows(table, m - table["nullity"] - 2 > 0))
+        out: list[BipartiteBoundReport | NotApplicableError] = []
+        for g, k in zip(graphs, table["nullity"].tolist()):
+            if m - k - 2 <= 0:
+                out.append(NotApplicableError(
+                    "zero multiplicity too large for the bound"))
+                continue
+            d = 2.0 * g.edge_count / m
+            gap = next(indices).gap
+            bound = 2.0 * math.sqrt(d * (m - 2.0 * d) / (m - k - 2.0))
+            out.append(BipartiteBoundReport(
+                order=m, avg_degree=d, nullity=k, gap=gap, bound=bound
+            ))
+        return out
 
-    return _premised(graphs, _bipartite_premise, report)
+    return _premised(graphs, _bipartite_premise, reports)
 
 
-def _bipartite_premise(g: Graph) -> NotApplicableError | None:
-    if bipartition(g) is None:
-        return NotApplicableError("graph is not bipartite")
-    parts = detect_complete_multipartite(g)
-    if parts is not None and len(parts) == 2:
-        return NotApplicableError("graph is complete bipartite")
-    return None
+def _bipartite_premise(graphs: Sequence[Graph]) -> list:
+    # a connected bipartite graph with sides of a and m - a vertices is
+    # complete bipartite when it has a (m - a) > 0 edges
+    m = graphs[0].order
+    bipartite, even = bipartite_batch(graphs)
+    return [NotApplicableError("graph is not bipartite") if not bip
+            else NotApplicableError("graph is complete bipartite")
+            if 0 < g.edge_count == side.bit_count() * (m - side.bit_count())
+            else None
+            for g, bip, side in zip(graphs, bipartite.tolist(), even.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +656,7 @@ def cone_lambda_max_bound(g: Graph) -> ConeReport:
 def cone_lambda_max_bound_batch(graphs: Sequence[Graph]) -> list[ConeReport]:
     """cone_lambda_max_bound on each of same-order graphs: one batched
     eigensolve for the graphs, one for their cones."""
-    if not graphs:
+    if not _batch(graphs):
         return []
     m = graphs[0].order
     apex = sum(1 << pair_index(i, m) for i in range(m))
@@ -669,10 +685,10 @@ def pendant_lambda_min_bound_batch(graphs: Sequence[Graph]
                                    ) -> list[PendantReport]:
     """pendant_lambda_min_bound on each of same-order graphs: one batched
     eigensystem for the graphs, one eigensolve for their pendants."""
-    if not graphs:
+    if not _batch(graphs):
         return []
     m = graphs[0].order
-    vals, vecs = eigen.eigensystems_batch(_stack(graphs))
+    vals, vecs = eigen.eigensystems_batch(census._adjacency_stack(graphs))
     weights = np.abs(vecs[:, :, -1])
     if not weights.max(axis=1).all():
         raise DegenerateEigenvectorError("lambda_min eigenvector is zero")

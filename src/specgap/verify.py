@@ -10,8 +10,9 @@ order; run_check turns a suite's tally into a named SuiteResult.
 
 The census bound suites (prop2a, bipartite-bound, vertex-add) read their
 census in blocks of SWEEP_BLOCK graphs and run the batch form of each bound
-once per block, so a block's spectra come from one batched eigensolve per
-kind of matrix; the classical extremes come from one batched census run.
+once per block: its premises are decided on the block's neighbor masks, and
+its spectra come from one batched eigensolve per kind of matrix.  The
+classical extremes come from one batched census run.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ def check_multipartite_bounds(order: int) -> Tally:
     exactly one positive eigenvalue, spectrum range and index bounds."""
     failures = []
     checked = 0
-    for parts in partitions(order):
-        checked += 1
+    for checked, parts in enumerate(partitions(order), start=1):
         tag = "+".join(map(str, parts))
         try:
             report = multipartite.multipartite_bounds_check(parts)
@@ -203,34 +203,30 @@ def check_power_maximum(order: int, path: str | None = None) -> Tally:
 
 def check_minus_edge_family(max_part: int = 50) -> Tally:
     """Closed-form vs dense spectra for the one-edge-removed family."""
-    failures = []
-    checked = 0
-    for m in range(2, max_part + 1):
-        checked += 1
-        analytic = multipartite.kmm_minus_e_spectrum(m).values()
-        dense = eigen.spectrum(kmm_minus_e(m))
-        if np.max(np.abs(analytic - dense)) > _TOL:
-            failures.append(f"m={m}: spectra differ")
-    return checked, 0, tuple(failures)
+    return _edge_family(max_part, multipartite.kmm_minus_e_spectrum,
+                        kmm_minus_e, minus_one=False)
 
 
 def check_plus_edge_family(max_part: int = 50) -> Tally:
     """Closed-form vs dense spectra for the one-edge-added family, plus the
     exact -1 eigenvalue showing up as lambda_minus numerically."""
+    return _edge_family(max_part, multipartite.kmm_plus_e_spectrum,
+                        kmm_plus_e, minus_one=True)
+
+
+def _edge_family(max_part: int, closed_form: Callable, build: Callable,
+                 minus_one: bool) -> Tally:
     failures = []
-    checked = 0
     for m in range(2, max_part + 1):
-        checked += 1
-        analytic = multipartite.kmm_plus_e_spectrum(m).values()
-        dense = eigen.spectrum(kmm_plus_e(m))
+        analytic = closed_form(m).values()
+        dense = eigen.spectrum(build(m))
         if np.max(np.abs(analytic - dense)) > _TOL:
             failures.append(f"m={m}: spectra differ")
-            continue
-        if m >= 3:
-            idx = compute_indices(dense)
-            if abs(idx.lambda_minus + 1.0) > 1e-9:
-                failures.append(f"m={m}: lambda_minus {idx.lambda_minus} != -1")
-    return checked, 0, tuple(failures)
+        elif minus_one and m >= 3:
+            lam = compute_indices(dense).lambda_minus
+            if abs(lam + 1.0) > 1e-9:
+                failures.append(f"m={m}: lambda_minus {lam} != -1")
+    return max(max_part - 1, 0), 0, tuple(failures)
 
 
 def check_bipartite_bound(order: int, path: str | None = None) -> Tally:
@@ -280,13 +276,7 @@ def check_classical(order: int, path: str | None = None) -> Tally:
     )
     failures = []
     for name, index, direction, expected, predicate in specs:
-        summary = stats[index].finalize()
-        if direction == "max":
-            actual, wits, over = (summary.maximum, summary.max_witnesses,
-                                  summary.max_overflow)
-        else:
-            actual, wits, over = (summary.minimum, summary.min_witnesses,
-                                  summary.min_overflow)
+        actual, wits, over = stats[index].finalize().extreme(direction)
         unique = len(wits) == 1 and over == 0
         suspect = None if unique and predicate(graph6.decode(wits[0])) else wits[-1]
         if suspect is None and abs(actual - expected) <= _TOL:

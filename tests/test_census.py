@@ -530,3 +530,21 @@ def test_census_rejected_count_flows_through(tmp_path):
     report = run_census(Graph6Source(str(f)))
     assert report.count == 2
     assert report.rejected_disconnected == 1
+
+
+@pytest.mark.parametrize("order", [12, 13, 100])
+def test_adjacency_stack_past_the_edge_mask_cut(order):
+    rng = np.random.default_rng(order)
+    n = pair_count(order)
+    graphs = [Graph(order, int.from_bytes(rng.bytes(n // 8 + 1), "little")
+                    % (1 << n)) for _ in range(6)]
+    graphs += [Graph(order, 0), complete(order), path(order)]
+    stack = census._adjacency_stack(graphs)
+    assert stack.shape == (len(graphs), order, order)
+    for mat, g in zip(stack, graphs):
+        want = np.zeros((order, order))
+        for j in range(1, order):
+            for i in range(j):
+                if g.bits >> pair_index(i, j) & 1:
+                    want[i, j] = want[j, i] = 1.0
+        assert np.array_equal(mat, want)

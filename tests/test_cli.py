@@ -236,3 +236,48 @@ def test_unexpected_exception_is_not_exit_one(capsys, monkeypatch):
     code, _, err = run(capsys, "spectrum", "Bw")
     assert code == 2
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize("argv", [
+    ("indices", "C~", "--zero-tol", "-1"),
+    ("spectrum", "C~", "--zero-tol", "nan"),
+    ("spectrum", "C~", "--zero-tol=-1e-12"),
+    ("census", "--order", "4", "--zero-tol", "-1", "--threads", "1"),
+    ("extremal", "--order", "4", "--index", "gap", "--dir", "min",
+     "--zero-tol", "inf"),
+])
+def test_bad_zero_tolerance_exits_two(capsys, tmp_path, argv):
+    out_dir = tmp_path / "out"
+    if argv[0] == "census":
+        argv += ("--out", str(out_dir))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: zero tolerance must be finite")
+    assert not out_dir.exists()
+
+
+def test_zero_tolerance_zero_is_accepted(capsys, tmp_path):
+    code, out, _ = run(capsys, "spectrum", "C~", "--zero-tol", "0")
+    assert code == 0 and "nullity 0" in out
+    code, out, _ = run(capsys, "indices", "C~", "--zero-tol", "0")
+    assert code == 0 and "gap 4.000000" in out
+    code, out, _ = run(capsys, "census", "--order", "4", "--zero-tol", "0",
+                       "--threads", "1", "--out", str(tmp_path))
+    assert code == 0 and "count 6" in out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--chunk-size", "0"), ("--chunk-size", "-5"),
+    ("--threads", "0"), ("--threads", "-2"),
+])
+def test_census_counts_below_one_are_usage_errors(capsys, tmp_path, flag,
+                                                   value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--order", "4", "--out", str(tmp_path / "out"),
+                  flag, value])
+    assert exc.value.code == 2
+    assert "--threads and --chunk-size must be at least 1" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

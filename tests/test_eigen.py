@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specgap import eigen
+from specgap.indices import compute_indices, indices_batch
 from specgap.graphs import complete, complete_multipartite, cycle, path, relabel, star
 
 
@@ -102,3 +103,20 @@ def test_nullity():
 def test_default_zero_tol_scales_with_order():
     assert eigen.default_zero_tol(10) == pytest.approx(1e-8)
     assert eigen.default_zero_tol(1) == pytest.approx(1e-9)
+
+
+def test_zero_tolerance_resolves_the_default():
+    assert eigen.zero_tolerance(10) == eigen.default_zero_tol(10)
+    assert eigen.zero_tolerance(10, 0.0) == 0.0
+    assert eigen.zero_tolerance(10, 0.5) == 0.5
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_negative_or_non_finite_zero_tolerance_is_rejected(tol):
+    vals = [2.0, -1.0, -1.0]
+    for call in (lambda: eigen.zero_tolerance(3, tol),
+                 lambda: eigen.nullity(vals, tol),
+                 lambda: compute_indices(vals, tol),
+                 lambda: indices_batch(np.array([vals]), tol)):
+        with pytest.raises(ValueError, match="zero tolerance must be finite"):
+            call()

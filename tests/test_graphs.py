@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specgap import graphs
 from specgap.graphs import (
@@ -184,3 +185,135 @@ def test_neighbor_masks():
     masks = g.neighbor_masks()
     assert masks[0] == (1 << 1) | (1 << 3)
     assert masks[2] == (1 << 1) | (1 << 3)
+
+
+# ---------------------------------------------------------------------------
+# the batch structure tests against brute-force oracles
+
+
+def _adjacency_lists(g):
+    adj = [[] for _ in range(g.order)]
+    for i, j in g.edges():
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def _two_colouring(g):
+    """Colour classes from a depth-first two-colouring search from vertex 0,
+    or None when a vertex is unreachable or an edge joins one colour."""
+    adj = _adjacency_lists(g)
+    colour = {0: 0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in colour:
+                colour[w] = 1 - colour[v]
+                stack.append(w)
+            elif colour[w] == colour[v]:
+                return None
+    if len(colour) < g.order:
+        return None
+    return tuple(tuple(v for v in range(g.order) if colour[v] == c)
+                 for c in (0, 1))
+
+
+def _complement_cliques(g):
+    """Sorted part sizes when the complement is a disjoint union of at
+    least two cliques, else None."""
+    co = g.complement()
+    adj = _adjacency_lists(co)
+    seen, parts = set(), []
+    for s in range(g.order):
+        if s in seen:
+            continue
+        comp, stack = {s}, [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        if any(not co.has_edge(u, v) for u in comp for v in comp if u < v):
+            return None
+        parts.append(len(comp))
+    return tuple(sorted(parts)) if len(parts) >= 2 else None
+
+
+def _check_structure(batch, one_graph_calls=True):
+    bipartite, even = graphs.bipartite_batch(batch)
+    multi = graphs.complete_multipartite_batch(batch)
+    assert len(bipartite) == len(even) == len(multi) == len(batch)
+    for g, bip, side, mul in zip(batch, bipartite.tolist(), even.tolist(),
+                                 multi.tolist()):
+        sides = _two_colouring(g)
+        parts = _complement_cliques(g)
+        assert bip == (sides is not None), g
+        if sides is not None:
+            assert side == sum(1 << v for v in sides[0]), g
+        assert mul == (parts is not None), g
+        if one_graph_calls:
+            assert bipartition(g) == sides
+            assert detect_complete_multipartite(g) == parts
+
+
+def _labelled(order, labels, drop=0):
+    """Edges between differently labelled vertices, less the pairs whose
+    bit is set in ``drop``."""
+    return from_edges(order, [(i, j) for j in range(order) for i in range(j)
+                              if labels[i] != labels[j]
+                              and not drop >> pair_index(i, j) & 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, 11), data=st.data())
+def test_batch_structure_matches_brute_force(order, data):
+    n = pair_count(order)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                               max_size=30))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=order,
+                                max_size=order))
+    drop = data.draw(st.integers(0, (1 << n) - 1))
+    sparse = data.draw(st.integers(0, (1 << n) - 1))
+    batch = [Graph(order, b) for b in masks]
+    # complete multipartite, complete bipartite and bipartite graphs, which
+    # random masks seldom give
+    batch += [_labelled(order, labels),
+              _labelled(order, [x % 2 for x in labels]),
+              _labelled(order, [x % 2 for x in labels], drop & sparse)]
+    _check_structure(batch)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_batch_structure_exhaustive_small_orders(order):
+    _check_structure([Graph(order, b) for b in range(1 << pair_count(order))])
+
+
+@pytest.mark.parametrize("order", [12, 13])
+def test_batch_structure_past_the_edge_mask_cut(order):
+    rng = np.random.default_rng(order)
+    n = pair_count(order)
+    batch = [Graph(order, int.from_bytes(rng.bytes(16), "little") % (1 << n))
+             for _ in range(20)]
+    batch += [path(order), cycle(order), star(order), complete(order),
+              Graph(order, 0), complete_multipartite([6, order - 6]),
+              complete_multipartite([2, 3, order - 5]),
+              _labelled(order, [v % 2 for v in range(order)], 0b1011 << 20)]
+    assert graphs._edge_masks(batch) is None
+    _check_structure(batch)
+
+
+def test_structure_at_order_100():
+    minus = kmm_minus_e(50)
+    halves = (tuple(range(50)), tuple(range(50, 100)))
+    assert bipartition(minus) == halves
+    assert detect_complete_multipartite(minus) is None
+    kmm = complete_multipartite([50, 50])
+    assert bipartition(kmm) == halves
+    assert detect_complete_multipartite(kmm) == (50, 50)
+    three = complete_multipartite([40, 30, 30])
+    assert bipartition(three) is None
+    assert detect_complete_multipartite(three) == (30, 30, 40)
+    _check_structure([minus, kmm, three, cycle(100), path(100)],
+                     one_graph_calls=False)

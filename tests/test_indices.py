@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from specgap import eigen
+from specgap import census, eigen
 from specgap.graphs import complete, cycle, path, star
 from specgap.indices import (
     INDEX_NAMES,
@@ -16,6 +16,8 @@ from specgap.indices import (
     IndexStats,
     InsufficientDataError,
     compute_indices,
+    index_rows,
+    index_table,
     indices_batch,
 )
 
@@ -82,6 +84,41 @@ def test_indices_accept_unsorted_input():
     a = compute_indices([-1.0, 3.0, -1.0, -1.0])
     b = compute_indices([3.0, -1.0, -1.0, -1.0])
     assert a == b
+
+
+def test_degenerate_messages():
+    with pytest.raises(DegenerateSpectrumError, match="^empty spectrum$"):
+        compute_indices([])
+    with pytest.raises(DegenerateSpectrumError, match="^spectrum has no "
+                       "eigenvalues of both signs beyond tolerance$"):
+        compute_indices([0.0, 1.0])
+    with pytest.raises(DegenerateSpectrumError,
+                       match="^row 1: spectrum lacks eigenvalues of both signs$"):
+        indices_batch(np.array([[1.0, -1.0], [1.0, 0.0]]))
+
+
+def test_index_rows_of_selected_rows():
+    table = index_table(np.array([[1.0, 0.0], [2.0, -1.0], [3.0, 0.0]]))
+    assert table["degenerate"].tolist() == [True, False, True]
+    assert table["nullity"].tolist() == [1, 0, 1]
+    [idx] = index_rows(table, ~table["degenerate"])
+    assert idx == compute_indices([2.0, -1.0])
+    with pytest.raises(DegenerateSpectrumError):
+        index_rows(table)
+
+
+def test_one_row_call_matches_the_batch_on_the_order8_census(census8_path):
+    graphs = list(census.Graph6Source(census8_path))
+    vals = eigen.spectra_batch(census._adjacency_stack(graphs))
+    table = indices_batch(vals)
+    fields = ("lambda_max", "lambda_min", "lambda_plus", "lambda_minus",
+              "gap", "ind", "pow")
+    for i, v in enumerate(vals):
+        idx = compute_indices(v)
+        one = indices_batch(v[None])
+        for name in fields:
+            assert one[name][0] == idx.by_name(name) == table[name][i]
+        assert one["nullity"][0] == table["nullity"][i] == eigen.nullity(v)
 
 
 def test_batch_matches_scalar(census5):
