@@ -12,9 +12,11 @@ The imports below are the package's public names.
 from .graphs import (
     Graph,
     InvalidParamsError,
+    bipartite_batch,
     bipartition,
     complete,
     complete_multipartite,
+    complete_multipartite_batch,
     construct,
     cycle,
     detect_complete_multipartite,
@@ -45,6 +47,7 @@ from .eigen import (
     nullity,
     spectra_batch,
     spectrum,
+    zero_tolerance,
 )
 from .indices import (
     INDEX_NAMES,
@@ -54,6 +57,8 @@ from .indices import (
     SpectralIndices,
     StatsSummary,
     compute_indices,
+    index_rows,
+    index_table,
     indices_batch,
 )
 from .multipartite import (

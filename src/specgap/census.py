@@ -231,10 +231,8 @@ class Graph6Source:
                 else:
                     self.rejected_disconnected += 1
         if self.rejected_disconnected:
-            log.warning(
-                "%s: skipped %d disconnected graph(s)",
-                self.path, self.rejected_disconnected,
-            )
+            log.warning("%s: skipped %d disconnected graph(s)", self.path,
+                        self.rejected_disconnected)
 
     def _blocks(self) -> Iterator[list[Graph]]:
         """The decoded graphs in file order, in blocks of one order."""
@@ -367,13 +365,9 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
 
     if count == 0:
         raise EmptySourceError("census source yielded no graphs")
-    return CensusReport(
-        order=order,
-        count=count,
-        stats=stats,
-        histograms=hists,
-        rejected_disconnected=getattr(source, "rejected_disconnected", 0),
-    )
+    rejected = getattr(source, "rejected_disconnected", 0)
+    return CensusReport(order=order, count=count, stats=stats,
+                        histograms=hists, rejected_disconnected=rejected)
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("census", "extremal"):
-        if (args.order is None) == (args.file is None):
-            parser.error("give exactly one of --order or --file")
+    if (args.command in ("census", "extremal")
+            and (args.order is None) == (args.file is None)):
+        parser.error("give exactly one of --order or --file")
     if args.command == "census" and min(args.threads, args.chunk_size) < 1:
         parser.error("--threads and --chunk-size must be at least 1")
     try:

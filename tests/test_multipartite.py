@@ -8,6 +8,7 @@ import pytest
 
 from specgap import census, eigen, graph6, multipartite as mp
 from specgap.graphs import (
+    Graph,
     complete,
     complete_multipartite,
     cycle,
@@ -17,7 +18,7 @@ from specgap.graphs import (
     path,
     star,
 )
-from specgap.indices import SpectralIndices, compute_indices
+from specgap.indices import DegenerateSpectrumError, SpectralIndices, compute_indices
 from specgap.verify import partitions
 
 # frozen from an independent root-finder run (numpy.roots on the reduced
@@ -400,6 +401,16 @@ def test_batch_of_no_graphs_and_of_mixed_orders():
         assert batch([]) == []
         with pytest.raises(ValueError, match="one order"):
             batch([path(4), path(5)])
+
+
+def test_premised_batches_at_order_one():
+    # the one-vertex graph is bipartite and not complete bipartite, and it
+    # has no nonzero eigenvalue at all
+    [outcome] = mp.bipartite_gap_bound_batch([Graph(1, 0)])
+    assert str(outcome) == "zero multiplicity too large for the bound"
+    with pytest.raises(DegenerateSpectrumError,
+                       match="^spectrum has no eigenvalues of both signs"):
+        mp.nonmultipartite_bounds_batch([Graph(1, 0)])
 
 
 def test_one_graph_check_raises_the_batch_outcome():
