@@ -10,11 +10,12 @@ new vertex in every possible way and keeping one canonical graph per class
 enumerate_connected runs that extension from the one-vertex graph, up to
 order 7.  Larger orders come from graph6 files or from extend_census.
 
-Graph6Source streams a graph6 file: each line is decoded on its own, and
-connectivity is decided for a block of same-order graphs at once, on their
-edge masks.  run_census streams any graph source through a batched
-eigensolve and merges per-chunk moment accumulators in a fixed order, so
-results are identical for any thread count.
+Graph6Source, run_census and the verify sweeps cut their graph streams
+into same-order blocks with one cutter, _blocks.  Graph6Source decodes each
+line on its own and decides connectivity per block, on its edge masks.
+run_census eigensolves each block in one batch and merges per-block moment
+accumulators in a fixed order, so results are identical for any number of
+threads.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ class Graph6Source:
     def __iter__(self) -> Iterator[Graph]:
         self.read = 0
         self.rejected_disconnected = 0
-        for block in self._blocks():
+        for block in _blocks(self._decoded(), SOURCE_BLOCK):
             masks = _edge_masks(block)
             if masks is None:
                 keep: Iterable[bool] = map(is_connected, block)
@@ -234,10 +235,9 @@ class Graph6Source:
             log.warning("%s: skipped %d disconnected graph(s)", self.path,
                         self.rejected_disconnected)
 
-    def _blocks(self) -> Iterator[list[Graph]]:
-        """The decoded graphs in file order, in blocks of one order."""
+    def _decoded(self) -> Iterator[Graph]:
+        """The decoded graphs of the file, in file order."""
         header = graph6.HEADER.encode()
-        block: list[Graph] = []
         with open(self.path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -249,31 +249,38 @@ class Graph6Source:
                     g = graph6.decode(line)
                 except graph6.Graph6Error as exc:
                     raise Graph6FileError(f"{self.path}:{lineno}: {exc}") from exc
-                if block and g.order != block[0].order:
-                    yield block
-                    block = []
-                block.append(g)
-                if len(block) == SOURCE_BLOCK:
-                    yield block
-                    block = []
-        if block:
+                yield g
+
+
+def _blocks(graphs: Iterable[Graph], size: int) -> Iterator[list[Graph]]:
+    """Consecutive graphs of one order, at most size (>= 1) per block;
+    each is yielded once full, or once the next graph has another order."""
+    block: list[Graph] = []
+    for g in graphs:
+        if block and g.order != block[0].order:
             yield block
+            block = []
+        block.append(g)
+        if len(block) == size:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 # ---------------------------------------------------------------------------
 # the census pipeline
 
 class Histogram:
-    """Fixed-width value histogram; bin k covers [k*w, (k+1)*w)."""
+    """Value histogram; bin k covers [k*w, (k+1)*w) for w = HIST_BIN_WIDTH."""
 
-    __slots__ = ("width", "counts")
+    __slots__ = ("counts",)
 
-    def __init__(self, width: float = HIST_BIN_WIDTH) -> None:
-        self.width = width
+    def __init__(self) -> None:
         self.counts: Counter[int] = Counter()
 
     def update_many(self, values: np.ndarray) -> None:
-        bins = np.floor(np.asarray(values, dtype=float) / self.width).astype(np.int64)
+        bins = np.floor(np.divide(values, HIST_BIN_WIDTH)).astype(np.int64)
         uniq, cnt = np.unique(bins, return_counts=True)
         self.counts.update(dict(zip(uniq.tolist(), cnt.tolist())))
 
@@ -282,7 +289,7 @@ class Histogram:
 
     def rows(self) -> list[tuple[float, float, int]]:
         return [
-            (b * self.width, (b + 1) * self.width, self.counts[b])
+            (b * HIST_BIN_WIDTH, (b + 1) * HIST_BIN_WIDTH, self.counts[b])
             for b in sorted(self.counts)
         ]
 
@@ -309,24 +316,6 @@ def _chunk_payload(graphs: list[Graph], zero_tol: float | None):
     return len(graphs), stats, hists
 
 
-def _chunked(source: Iterable[Graph], size: int) -> Iterator[list[Graph]]:
-    buf: list[Graph] = []
-    order: int | None = None
-    for g in source:
-        if order is None:
-            order = g.order
-        elif g.order != order:
-            raise MixedOrdersError(
-                f"census mixes orders {order} and {g.order}"
-            )
-        buf.append(g)
-        if len(buf) >= size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
-
-
 def run_census(source: Iterable[Graph], zero_tol: float | None = None,
                threads: int = 1, chunk_size: int = 2048) -> CensusReport:
     """Stream a single-order graph source into a CensusReport.
@@ -334,6 +323,8 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
     Chunks are eigensolved in batch; per-chunk accumulators merge in chunk
     order, so the report is identical for any thread count.
     """
+    if min(threads, chunk_size) < 1:
+        raise ValueError("threads and chunk_size must be at least 1")
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     count = 0
@@ -347,16 +338,22 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
             stats[name].absorb(st[name])
             hists[name].absorb(hs[name])
 
-    chunks = _chunked(source, chunk_size)
-    if threads <= 1:
-        for chunk in chunks:
-            order = chunk[0].order
+    def chunks() -> Iterator[list[Graph]]:
+        nonlocal order
+        for chunk in _blocks(source, chunk_size):
+            m = chunk[0].order
+            if order and m != order:
+                raise MixedOrdersError(f"census mixes orders {order} and {m}")
+            order = m
+            yield chunk
+
+    if threads == 1:
+        for chunk in chunks():
             merge(_chunk_payload(chunk, zero_tol))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             window: deque = deque()
-            for chunk in chunks:
-                order = chunk[0].order
+            for chunk in chunks():
                 window.append(pool.submit(_chunk_payload, chunk, zero_tol))
                 if len(window) >= threads + 2:
                     merge(window.popleft().result())

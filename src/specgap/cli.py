@@ -20,7 +20,7 @@ import numpy as np
 
 from . import census, eigen, graph6, multipartite, verify
 from .census import format_float
-from .graphs import InvalidParamsError, construct
+from .graphs import construct
 from .indices import INDEX_NAMES, compute_indices
 
 
@@ -80,10 +80,8 @@ def _cmd_perturbed(args: argparse.Namespace) -> int:
     family = args.family.replace("-", "_")
     if family == "kmm_minus_e":
         spec = multipartite.kmm_minus_e_spectrum(args.m)
-    elif family == "kmm_plus_e":
+    else:  # argparse choices admit only the two families
         spec = multipartite.kmm_plus_e_spectrum(args.m)
-    else:
-        raise InvalidParamsError(f"unknown perturbation family {args.family!r}")
     _print_analytic(spec)
     idx = spec.indices()
     print(f"gap {format_float(idx.gap)} ind {format_float(idx.ind)} "

@@ -327,7 +327,8 @@ class IndexStats:
     def _need_spread(self) -> None:
         if self.count < 2:
             raise InsufficientDataError("need at least two observations")
-        if self.m2 <= 0.0:
+        # values within the tie band are one value; m2 is rounding noise
+        if self.maximum - self.minimum <= WITNESS_BAND:
             raise InsufficientDataError("zero variance stream")
 
     def finalize(self) -> StatsSummary:

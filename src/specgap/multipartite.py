@@ -18,7 +18,8 @@ complete multipartite, the bipartite gap bound, and the cone and pendant
 vertex additions) each come in a batch form over a list of same-order
 graphs.  A batch decides its premise for every graph at once, on neighbor
 masks; the spectra come from one batched eigensolve and the indices from
-one index_table.  For each graph it returns the report or the
+one index_table; the cone and pendant matrices are its adjacency stack
+grown by one row and column.  For each graph it returns the report or the
 NotApplicableError that the graph raises.  The one-graph function of the
 same name is its one-graph case.
 """
@@ -31,8 +32,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import census, eigen
-from .graphs import Graph, bipartite_batch, complete_multipartite_batch, pair_index
+from . import eigen
+from .graphs import (Graph, _adjacency_stack, bipartite_batch,
+                     complete_multipartite_batch)
 from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
 from .indices import SpectralIndices, compute_indices, index_rows, index_table
 
@@ -385,10 +387,6 @@ def _batch(graphs: Sequence[Graph]) -> bool:
     return bool(graphs)
 
 
-def _spectra(graphs: Sequence[Graph]) -> np.ndarray:
-    return eigen.spectra_batch(census._adjacency_stack(graphs))
-
-
 def _premised(graphs: Sequence[Graph],
               premise: Callable[[Sequence[Graph]], list],
               reports: Callable[[Sequence[Graph], np.ndarray], list]) -> list:
@@ -402,7 +400,8 @@ def _premised(graphs: Sequence[Graph],
     todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if todo:
         chosen = [graphs[i] for i in todo]
-        for i, outcome in zip(todo, reports(chosen, _spectra(chosen))):
+        vals = eigen.spectra_batch(_adjacency_stack(chosen))
+        for i, outcome in zip(todo, reports(chosen, vals)):
             outcomes[i] = outcome
     return outcomes
 
@@ -529,14 +528,12 @@ class BipartiteBoundReport:
         return self.gap <= self.bound + _SLACK
 
 
-def bipartite_gap_bound(g: Graph, zero_tol: float | None = None
-                        ) -> BipartiteBoundReport:
+def bipartite_gap_bound(g: Graph) -> BipartiteBoundReport:
     """2 sqrt(d (m - 2d) / (m - k - 2)) check; d avg degree, k the nullity."""
-    return _one(bipartite_gap_bound_batch([g], zero_tol))
+    return _one(bipartite_gap_bound_batch([g]))
 
 
-def bipartite_gap_bound_batch(graphs: Sequence[Graph],
-                              zero_tol: float | None = None
+def bipartite_gap_bound_batch(graphs: Sequence[Graph]
                               ) -> list[BipartiteBoundReport
                                         | NotApplicableError]:
     """bipartite_gap_bound on each of same-order graphs."""
@@ -544,7 +541,7 @@ def bipartite_gap_bound_batch(graphs: Sequence[Graph],
     def reports(graphs: Sequence[Graph], vals: np.ndarray
                 ) -> list[BipartiteBoundReport | NotApplicableError]:
         m = graphs[0].order
-        table = index_table(vals, zero_tol)
+        table = index_table(vals)
         indices = iter(index_rows(table, m - table["nullity"] - 2 > 0))
         out: list[BipartiteBoundReport | NotApplicableError] = []
         for g, k in zip(graphs, table["nullity"].tolist()):
@@ -625,7 +622,6 @@ class ConeReport:
     base_value: float
     new_value: float
     bound: float                # guaranteed lower bound for new_value
-    new_graph: Graph
 
     @property
     def holds(self) -> bool:
@@ -640,7 +636,6 @@ class PendantReport:
     new_value: float
     bound: float                # guaranteed upper bound for new_value
     attach_vertex: int
-    new_graph: Graph
 
     @property
     def holds(self) -> bool:
@@ -659,18 +654,19 @@ def cone_lambda_max_bound_batch(graphs: Sequence[Graph]) -> list[ConeReport]:
     if not _batch(graphs):
         return []
     m = graphs[0].order
-    apex = sum(1 << pair_index(i, m) for i in range(m))
-    cones = [Graph(m + 1, g.bits | apex) for g in graphs]
-    lams = _spectra(graphs)[:, 0].tolist()
-    new_lams = _spectra(cones)[:, 0].tolist()
+    mats = _adjacency_stack(graphs)
+    cones = np.zeros((len(graphs), m + 1, m + 1))
+    cones[:, :m, :m] = mats
+    cones[:, m, :m] = cones[:, :m, m] = 1.0
+    lams = eigen.spectra_batch(mats)[:, 0].tolist()
+    new_lams = eigen.spectra_batch(cones)[:, 0].tolist()
     return [
         ConeReport(
             base_value=lam,
             new_value=new_lam,
             bound=(lam + math.sqrt(lam * lam + 4.0)) / 2.0,
-            new_graph=cone,
         )
-        for lam, new_lam, cone in zip(lams, new_lams, cones)
+        for lam, new_lam in zip(lams, new_lams)
     ]
 
 
@@ -688,25 +684,27 @@ def pendant_lambda_min_bound_batch(graphs: Sequence[Graph]
     if not _batch(graphs):
         return []
     m = graphs[0].order
-    vals, vecs = eigen.eigensystems_batch(census._adjacency_stack(graphs))
+    mats = _adjacency_stack(graphs)
+    vals, vecs = eigen.eigensystems_batch(mats)
     weights = np.abs(vecs[:, :, -1])
     if not weights.max(axis=1).all():
         raise DegenerateEigenvectorError("lambda_min eigenvector is zero")
     # argmax takes the lowest index on ties
-    attach = np.argmax(weights, axis=1).tolist()
-    pendants = [Graph(m + 1, g.bits | (1 << pair_index(i0, m)))
-                for g, i0 in zip(graphs, attach)]
-    new_lams = _spectra(pendants)[:, -1].tolist()
+    attach = np.argmax(weights, axis=1)
+    pendants = np.zeros((len(graphs), m + 1, m + 1))
+    pendants[:, :m, :m] = mats
+    rows = np.arange(len(graphs))
+    pendants[rows, attach, m] = pendants[rows, m, attach] = 1.0
+    new_lams = eigen.spectra_batch(pendants)[:, -1].tolist()
     return [
         PendantReport(
             base_value=lam,
             new_value=new_lam,
             bound=(lam - math.sqrt(lam * lam + 4.0 / m)) / 2.0,
             attach_vertex=i0,
-            new_graph=pendant,
         )
-        for lam, new_lam, i0, pendant
-        in zip(vals[:, -1].tolist(), new_lams, attach, pendants)
+        for lam, new_lam, i0
+        in zip(vals[:, -1].tolist(), new_lams, attach.tolist())
     ]
 
 

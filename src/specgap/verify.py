@@ -8,16 +8,15 @@ graph is the subject, otherwise a readable parameter tag).  The census
 suites, the classical extremes among them, read one census of the requested
 order; run_check turns a suite's tally into a named SuiteResult.
 
-The census bound suites (prop2a, bipartite-bound, vertex-add) read their
-census in blocks of SWEEP_BLOCK graphs and run the batch form of each bound
-once per block: its premises are decided on the block's neighbor masks, and
-its spectra come from one batched eigensolve per kind of matrix.  The
-classical extremes come from one batched census run.
+The census bound suites (prop2a, bipartite-bound, vertex-add) cut their
+census into blocks of SWEEP_BLOCK graphs with census._blocks and run the
+batch form of each bound once per block, with its premises decided on the
+block's neighbor masks and one batched eigensolve per kind of matrix.  The
+power maximum and the classical extremes each come from one run_census.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -78,12 +77,12 @@ class SuiteResult:
         return self.checked > 0 and not self.failures
 
 
-def partitions(total: int, min_parts: int = 2) -> Iterator[tuple[int, ...]]:
-    """All ascending integer partitions of ``total`` with at least min_parts."""
+def partitions(total: int) -> Iterator[tuple[int, ...]]:
+    """All ascending integer partitions of ``total`` into two or more parts."""
 
     def rec(remaining: int, smallest: int, prefix: tuple[int, ...]):
         if remaining == 0:
-            if len(prefix) >= min_parts:
+            if len(prefix) >= 2:
                 yield prefix
             return
         for part in range(smallest, remaining + 1):
@@ -121,8 +120,7 @@ def _sweep(order: int, path: str | None,
     """
     failures: list[str] = []
     checked = skipped = 0
-    census_graphs = _census_graphs(order, path)
-    while block := list(itertools.islice(census_graphs, SWEEP_BLOCK)):
+    for block in census._blocks(_census_graphs(order, path), SWEEP_BLOCK):
         outcomes = zip(*(bound(block) for _, bound in bounds))
         for g, reports in zip(block, outcomes):
             if any(isinstance(r, multipartite.NotApplicableError)

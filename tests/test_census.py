@@ -419,6 +419,70 @@ def test_census_thread_determinism(census6, tmp_path):
     assert paths[0] == paths[1]
 
 
+@pytest.mark.parametrize("kwargs", [{"chunk_size": 0}, {"chunk_size": -7},
+                                    {"threads": 0}, {"threads": -2}])
+def test_census_rejects_chunk_size_and_threads_below_one(census4, kwargs):
+    with pytest.raises(ValueError,
+                       match="^threads and chunk_size must be at least 1$"):
+        run_census(census4, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(2, 7), data=st.data())
+def test_census_is_invariant_to_chunk_size_and_threads(order, data,
+                                                       tmp_path_factory):
+    # nonempty edge sets, so every spectrum has eigenvalues of both signs;
+    # drawn from a small pool, so the stream repeats graphs and a whole
+    # index may be one value up to rounding
+    pool = data.draw(st.lists(st.integers(1, (1 << pair_count(order)) - 1),
+                              min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=120))
+    graphs = [Graph(order, b) for b in picks]
+    base = run_census(graphs, chunk_size=1)
+    size = data.draw(st.integers(1, 50))
+    other = run_census(graphs, chunk_size=size)
+    assert (other.order, other.count) == (order, len(graphs))
+    for name in census.INDEX_NAMES:
+        want, got = base.stats[name].finalize(), other.stats[name].finalize()
+        for field in ("count", "minimum", "maximum", "min_witnesses",
+                      "max_witnesses", "min_overflow", "max_overflow"):
+            assert getattr(got, field) == getattr(want, field), (name, field)
+        for field in ("mean", "std", "skewness", "kurtosis"):
+            w, g = getattr(want, field), getattr(got, field)
+            assert (g is None) == (w is None), (name, field)
+            if w is not None:
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9), (name, field)
+        assert other.histograms[name].counts == base.histograms[name].counts
+    out = tmp_path_factory.mktemp("threads")
+    for threads in (1, 3):
+        write_stats_csv(run_census(graphs, threads=threads, chunk_size=size),
+                        out / f"t{threads}.csv")
+    assert (out / "t1.csv").read_bytes() == (out / "t3.csv").read_bytes()
+
+
+def test_blocks_cut_at_order_changes_and_every_size_graphs():
+    pulled = []
+
+    def stream(graphs):
+        for g in graphs:
+            pulled.append(g)
+            yield g
+
+    graphs = [path(3)] * 5 + [path(4)] * 2 + [path(3)]
+    blocks = census._blocks(stream(graphs), 2)
+    # a full block comes out before the next graph is pulled
+    assert next(blocks) == [path(3)] * 2 and len(pulled) == 2
+    assert next(blocks) == [path(3)] * 2 and len(pulled) == 4
+    # a partial block comes out once the next graph has another order
+    assert next(blocks) == [path(3)] and len(pulled) == 6
+    assert list(blocks) == [[path(4)] * 2, [path(3)]]
+    assert len(pulled) == len(graphs)
+    assert list(census._blocks(iter([]), 3)) == []
+    assert list(census._blocks(graphs, 1)) == [[g] for g in graphs]
+    assert list(census._blocks(graphs, 100)) == [graphs[:5], graphs[5:7],
+                                                 graphs[7:]]
+
+
 def test_census_empty_source():
     with pytest.raises(EmptySourceError):
         run_census([])
@@ -427,6 +491,12 @@ def test_census_empty_source():
 def test_census_mixed_orders():
     with pytest.raises(MixedOrdersError):
         run_census([complete(3), complete(4)])
+    # the order is checked before the chunk is solved: the one-vertex graph
+    # alone would raise DegenerateSpectrumError
+    for threads in (1, 2):
+        with pytest.raises(MixedOrdersError,
+                           match="^census mixes orders 3 and 1$"):
+            run_census([complete(3), Graph(1, 0)], threads=threads)
 
 
 def test_census_single_graph():

@@ -189,6 +189,20 @@ def test_constant_stream_has_no_shape():
         s.skewness()
 
 
+def test_stream_within_the_tie_band_has_no_shape():
+    # the mean of three 0.1s rounds away from 0.1, so m2 > 0 from rounding
+    # alone; one ulp apart is no spread either
+    for values in ([0.1] * 3, [1.0, np.nextafter(1.0, 2.0), 1.0]):
+        s = IndexStats()
+        s.update_many(np.array(values))
+        out = s.finalize()
+        assert out.skewness is None and out.kurtosis is None
+        assert out.std == pytest.approx(0.0, abs=1e-15)
+    s = IndexStats()
+    s.update_many(np.array([1.0, 1.0 + 2e-9, 1.0]))
+    assert s.finalize().skewness == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-5)
+
+
 def test_stream_matches_two_pass():
     rng = np.random.default_rng(42)
     values = rng.normal(3.0, 1.5, size=257)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from specgap import census, eigen, graph6, multipartite, verify
+from specgap import eigen, graph6, multipartite, verify
 from specgap.census import SOURCE_BLOCK, MixedOrdersError
 from specgap.graphs import (
     Graph,
@@ -200,13 +200,13 @@ def test_prop2a_skips_a_block_without_an_eigensolve(
               + [multi[i % len(multi)] for i in range(SWEEP_BLOCK)]
               + census6)
     stacked = []
-    build = census._adjacency_stack
+    build = multipartite._adjacency_stack
 
     def spy(block):
         stacked.append(len(block))
         return build(block)
 
-    monkeypatch.setattr(census, "_adjacency_stack", spy)
+    monkeypatch.setattr(multipartite, "_adjacency_stack", spy)
     result = run_check("prop2a", 6, _g6_file(tmp_path, graphs))
     on_premise = [detect_complete_multipartite(g) is None for g in graphs]
     assert stacked == [sum(on_premise[:SWEEP_BLOCK]),
