@@ -12,7 +12,7 @@ order 7.  Larger orders come from graph6 files or from extend_census.
 
 Graph6Source, run_census and the verify sweeps cut their graph streams
 into same-order blocks with one cutter, _blocks.  Graph6Source decodes each
-line on its own and decides connectivity per block, on its edge masks.
+line on its own and decides connectivity per block, at every order.
 run_census eigensolves each block in one batch and merges per-block moment
 accumulators in a fixed order, so results are identical for any number of
 threads.
@@ -32,8 +32,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import eigen, graph6
-from .graphs import (Graph, _adjacency_stack, _connected, _edge_masks,
-                     is_connected)
+from .graphs import Graph, _adjacency_stack, _connected
+from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import INDEX_NAMES, IndexStats, indices_batch
 
 log = logging.getLogger(__name__)
@@ -220,12 +220,7 @@ class Graph6Source:
         self.read = 0
         self.rejected_disconnected = 0
         for block in _blocks(self._decoded(), SOURCE_BLOCK):
-            masks = _edge_masks(block)
-            if masks is None:
-                keep: Iterable[bool] = map(is_connected, block)
-            else:
-                keep = _connected(masks, block[0].order).tolist()
-            for g, connected in zip(block, keep):
+            for g, connected in zip(block, _connected(block).tolist()):
                 self.read += 1
                 if connected:
                     yield g

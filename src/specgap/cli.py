@@ -62,10 +62,10 @@ def _parse_parts(text: str) -> list[int]:
 
 def _cmd_multipartite(args: argparse.Namespace) -> int:
     spec = multipartite.multipartite_spectrum(args.parts)
-    dense = eigen.spectrum(construct("complete_multipartite", args.parts))
     if args.mode in ("analytic", "both"):
         _print_analytic(spec)
     if args.mode in ("numeric", "both"):
+        dense = eigen.spectrum(construct("complete_multipartite", args.parts))
         print("numeric " + " ".join(format_float(v) for v in dense))
     if args.mode == "both":
         dev = float(np.max(np.abs(spec.values() - dense)))

@@ -6,10 +6,13 @@ numbered column-major over the strict upper triangle, i.e. (0,1), (0,2),
 (1,2), (0,3), ..., which makes the bitset order-compatible with the graph6
 serialization and lets a vertex-relabeling act as a pure bit permutation.
 
-The structure tests come in batch forms over a list of same-order graphs,
-run on arrays of per-vertex neighbor masks: bipartite_batch and
-complete_multipartite_batch, whose one-graph calls are bipartition and
-detect_complete_multipartite.
+This module alone turns a batch (a list of same-order graphs) into arrays:
+adjacency stacks and per-vertex neighbor masks.  _order is the one check
+that a batch is non-empty and of one order, and _neighbors the one place
+that cuts between uint64 edge masks (up to 63 vertex pairs) and per-graph
+neighbor masks.  The structure tests come in batch forms on those masks:
+_connected, bipartite_batch and complete_multipartite_batch, whose
+one-graph calls are bipartition and detect_complete_multipartite.
 """
 
 from __future__ import annotations
@@ -241,42 +244,46 @@ def detect_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # batches of same-order graphs
 #
-# A batch's neighbor masks: for each vertex v, an array of v's neighbor mask
-# in every graph, uint64 up to 64 vertices and Python ints (object arrays)
-# beyond.  Shift amounts are Python ints, so the same code serves both.
+# Every array of a batch is built here.  Each builder starts with _order,
+# the one check that a batch is non-empty and of one order, and _neighbors
+# alone knows the 63-pair cut of uint64 edge masks.
 
-def _edge_masks(graphs: Sequence[Graph]) -> np.ndarray | None:
-    """The edge bitsets of same-order graphs as a uint64 array, or None
-    when the order has more than 63 vertex pairs."""
-    if pair_count(graphs[0].order) > 63:
-        return None
-    return np.fromiter((g.bits for g in graphs), dtype=np.uint64,
-                       count=len(graphs))
+def _order(graphs: Sequence[Graph]) -> int:
+    """The order of a batch; ValueError if it is empty or mixes orders."""
+    if not graphs:
+        raise ValueError("a batch holds at least one graph")
+    m = graphs[0].order
+    if any(g.order != m for g in graphs):
+        raise ValueError("a batch holds graphs of one order")
+    return m
 
 
 def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The (n, m, m) float adjacency matrices of same-order graphs."""
-    m = graphs[0].order
+    """The (n, m, m) float adjacency matrices of same-order graphs, from
+    the little-endian bytes of each edge bitset."""
+    m = _order(graphs)
     n_pairs = pair_count(m)
-    n = len(graphs)
-    mats = np.zeros((n, m, m))
+    size = (n_pairs + 7) // 8
+    raw = b"".join(g.bits.to_bytes(size, "little") for g in graphs)
+    cols = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(graphs), size),
+                         axis=1, count=n_pairs, bitorder="little")
+    mats = np.zeros((len(graphs), m, m))
     ju, iu = np.tril_indices(m, -1)  # the pairs (i, j) in bitset order
-    masks = _edge_masks(graphs)
-    if masks is not None:
-        cols = (masks[:, None] >> np.arange(n_pairs, dtype=np.uint64)) & np.uint64(1)
-        cols = cols.astype(float)
-    else:  # huge orders: unpack each bitset's bytes
-        size = (n_pairs + 7) // 8
-        raw = b"".join(g.bits.to_bytes(size, "little") for g in graphs)
-        cols = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(n, size),
-                             axis=1, count=n_pairs, bitorder="little")
     mats[:, iu, ju] = cols
     mats[:, ju, iu] = cols
     return mats
 
 
-def _mask_neighbors(masks: np.ndarray, m: int) -> list[np.ndarray]:
-    """Neighbor masks of the order-m graphs with these uint64 edge masks."""
+def _neighbors(graphs: Sequence[Graph]) -> list[np.ndarray]:
+    """For each vertex v, v's neighbor mask in every graph of a batch:
+    from uint64 edge masks up to 63 vertex pairs, else from each graph's
+    neighbor_masks, as uint64 up to 64 vertices and Python ints beyond."""
+    m = _order(graphs)
+    if pair_count(m) > 63:
+        dtype = np.uint64 if m <= 64 else object
+        return list(np.array([g.neighbor_masks() for g in graphs], dtype=dtype).T)
+    masks = np.fromiter((g.bits for g in graphs), dtype=np.uint64,
+                        count=len(graphs))
     nb = [np.zeros_like(masks) for _ in range(m)]
     p = 0
     for j in range(1, m):
@@ -286,15 +293,6 @@ def _mask_neighbors(masks: np.ndarray, m: int) -> list[np.ndarray]:
             nb[j] |= edge << i
             p += 1
     return nb
-
-
-def _neighbors(graphs: Sequence[Graph]) -> list[np.ndarray]:
-    """Neighbor masks of a non-empty batch of same-order graphs."""
-    masks = _edge_masks(graphs)
-    if masks is not None:
-        return _mask_neighbors(masks, graphs[0].order)
-    dtype = np.uint64 if graphs[0].order <= 64 else object
-    return list(np.array([g.neighbor_masks() for g in graphs], dtype=dtype).T)
 
 
 def _bfs(nb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,25 +315,25 @@ def _bfs(nb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layers[0] | layers[1], layers[0], clash != 0
 
 
-def _connected(masks: np.ndarray, m: int) -> np.ndarray:
-    """Which of these order-m uint64 edge masks are connected graphs."""
-    return _bfs(_mask_neighbors(masks, m))[0] == (1 << m) - 1
+def _connected(graphs: Sequence[Graph]) -> np.ndarray:
+    """Which of a batch of same-order graphs are connected."""
+    nb = _neighbors(graphs)
+    return _bfs(nb)[0] == (1 << len(nb)) - 1
 
 
 def bipartite_batch(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
-    """Which of a non-empty list of same-order graphs are connected and
-    bipartite, and the mask of each one's vertices at even distance from
-    vertex 0."""
+    """Which of a batch of same-order graphs are connected and bipartite,
+    and the mask of each one's vertices at even distance from vertex 0."""
     nb = _neighbors(graphs)
     reached, even, clash = _bfs(nb)
     return (reached == (1 << len(nb)) - 1) & ~clash, even
 
 
 def complete_multipartite_batch(graphs: Sequence[Graph]) -> np.ndarray:
-    """Which of a non-empty list of same-order graphs are complete
-    multipartite with at least two parts: those with an edge in which every
-    two non-adjacent vertices have the same neighbors (non-adjacency is then
-    an equivalence relation, and its classes are the parts)."""
+    """Which of a batch of same-order graphs are complete multipartite
+    with at least two parts: those with an edge in which every two
+    non-adjacent vertices have the same neighbors (non-adjacency is then an
+    equivalence relation, and its classes are the parts)."""
     nb = _neighbors(graphs)
     ok = np.logical_or.reduce([x != 0 for x in nb])
     for v in range(1, len(nb)):

@@ -380,13 +380,6 @@ def _one(outcomes: list) -> Any:
     return outcome
 
 
-def _batch(graphs: Sequence[Graph]) -> bool:
-    """Whether a batch holds any graph; ValueError if it mixes orders."""
-    if any(g.order != graphs[0].order for g in graphs):
-        raise ValueError("a batch holds graphs of one order")
-    return bool(graphs)
-
-
 def _premised(graphs: Sequence[Graph],
               premise: Callable[[Sequence[Graph]], list],
               reports: Callable[[Sequence[Graph], np.ndarray], list]) -> list:
@@ -394,7 +387,7 @@ def _premised(graphs: Sequence[Graph],
     where it holds), else its report from reports, which gets the graphs
     that meet it and their spectra from one batched eigensolve, none when
     no graph does."""
-    if not _batch(graphs):
+    if not graphs:
         return []
     outcomes = premise(graphs)
     todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
@@ -651,7 +644,7 @@ def cone_lambda_max_bound(g: Graph) -> ConeReport:
 def cone_lambda_max_bound_batch(graphs: Sequence[Graph]) -> list[ConeReport]:
     """cone_lambda_max_bound on each of same-order graphs: one batched
     eigensolve for the graphs, one for their cones."""
-    if not _batch(graphs):
+    if not graphs:
         return []
     m = graphs[0].order
     mats = _adjacency_stack(graphs)
@@ -681,7 +674,7 @@ def pendant_lambda_min_bound_batch(graphs: Sequence[Graph]
                                    ) -> list[PendantReport]:
     """pendant_lambda_min_bound on each of same-order graphs: one batched
     eigensystem for the graphs, one eigensolve for their pendants."""
-    if not _batch(graphs):
+    if not graphs:
         return []
     m = graphs[0].order
     mats = _adjacency_stack(graphs)
@@ -719,6 +712,12 @@ def approx_connected_count(m: int) -> float:
     if int(m) != m or m < 2:
         raise InvalidOrderError("order must be an integer >= 2")
     t = m - 9
-    return APPROX_ANCHOR_COUNT * 10.0 ** (
-        APPROX_LOG_SLOPE * t + APPROX_LOG_CURVATURE * t * t
-    )
+    try:
+        count = APPROX_ANCHOR_COUNT * 10.0 ** (
+            APPROX_LOG_SLOPE * t + APPROX_LOG_CURVATURE * t * t
+        )
+        if math.isfinite(count):
+            return count
+    except OverflowError:
+        pass
+    raise InvalidOrderError(f"order {m} is too large: the count exceeds a float")

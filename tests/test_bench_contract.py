@@ -3,6 +3,8 @@
 The tracer replaces these functions and methods by name when a traced
 benchmark run starts; a rename here would crash that run, so it fails this
 test first.  bench/spans.py is only read, never imported as a package.
+The caller bindings that bench/test_harness.py asserts are checked here
+too, since that file lies outside the tier-1 test paths.
 """
 
 import importlib
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from specgap import census
+from specgap import census, graphs, multipartite
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -38,3 +40,10 @@ def test_traced_methods_exist(spans):
 
 def test_traced_source_iterator_exists():
     assert callable(census.Graph6Source.__dict__.get("__iter__"))
+
+
+def test_traced_caller_bindings_exist():
+    # the tracer patches these module globals, not only the defining ones
+    assert census.is_connected is graphs.is_connected
+    assert (multipartite.detect_complete_multipartite
+            is graphs.detect_complete_multipartite)

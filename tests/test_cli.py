@@ -42,6 +42,20 @@ def test_multipartite_command(capsys):
     assert "numeric" not in out
 
 
+def test_multipartite_analytic_makes_no_dense_eigensolve(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(eigen, "spectrum", lambda g: calls.append(g))
+    code, out, err = run(capsys, "multipartite", "--parts", "1,2,3",
+                         "--analytic")
+    assert (code, err, calls) == (0, "", [])
+    assert out == ("value\tmult\tprovenance\n"
+                   "3.766435\t1\tdispersion_root\n"
+                   "0.000000\t3\tzero_block\n"
+                   "-1.282824\t1\tdispersion_root\n"
+                   "-2.483612\t1\tdispersion_root\n"
+                   "gap 5.049259 ind 3.766435 pow 7.532871\n")
+
+
 def test_perturbed_command(capsys):
     code, out, _ = run(capsys, "perturbed", "--family", "kmm-minus-e",
                        "--m", "3")
@@ -172,6 +186,18 @@ def test_approx_count_command(capsys):
     assert "approx 261080.0" in out
     assert "true 261080" in out
     assert "rel_error 0.0000" in out
+
+
+def test_approx_count_past_the_float_range_is_an_input_error(capsys):
+    code, out, err = run(capsys, "approx-count", "--order", "59")
+    assert (code, err) == (0, "")
+    assert out.startswith("order 59 approx 26108")
+    assert math.isfinite(float(out.split()[3]))
+    for order in ("60", "2000"):
+        code, out, err = run(capsys, "approx-count", "--order", order)
+        assert (code, out) == (2, "")
+        assert err == (f"error: order {order} is too large: "
+                       "the count exceeds a float\n")
 
 
 def test_error_exit_codes(capsys):

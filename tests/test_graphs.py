@@ -300,7 +300,7 @@ def test_batch_structure_past_the_edge_mask_cut(order):
               Graph(order, 0), complete_multipartite([6, order - 6]),
               complete_multipartite([2, 3, order - 5]),
               _labelled(order, [v % 2 for v in range(order)], 0b1011 << 20)]
-    assert graphs._edge_masks(batch) is None
+    assert pair_count(order) > 63
     _check_structure(batch)
 
 
@@ -317,3 +317,13 @@ def test_structure_at_order_100():
     assert detect_complete_multipartite(three) == (30, 30, 40)
     _check_structure([minus, kmm, three, cycle(100), path(100)],
                      one_graph_calls=False)
+
+
+@pytest.mark.parametrize("build", [graphs.bipartite_batch,
+                                   graphs.complete_multipartite_batch,
+                                   graphs._adjacency_stack, graphs._connected])
+def test_batch_builders_reject_mixed_orders_and_no_graphs(build):
+    with pytest.raises(ValueError, match="one order"):
+        build([path(3), cycle(5)])
+    with pytest.raises(ValueError, match="at least one graph"):
+        build([])
