@@ -17,7 +17,6 @@ from .graphs import (
     complete,
     complete_multipartite,
     complete_multipartite_batch,
-    construct,
     cycle,
     detect_complete_multipartite,
     from_edges,
@@ -96,7 +95,6 @@ from .multipartite import (
 )
 from .census import (
     CANON_MAX_ORDER,
-    ENUM_MAX_ORDER,
     KNOWN_CONNECTED_COUNTS,
     CensusReport,
     EmptySourceError,

@@ -8,7 +8,7 @@ extend_census grows a complete order-m census to order m+1 by attaching a
 new vertex in every possible way and keeping one canonical graph per class
 (complete, because every connected graph has a non-cut vertex);
 enumerate_connected runs that extension from the one-vertex graph, up to
-order 7.  Larger orders come from graph6 files or from extend_census.
+order 8 (CANON_MAX_ORDER).  Larger orders come from graph6 files.
 
 Graph6Source, run_census and the verify sweeps cut their graph streams
 into same-order blocks with one cutter, _blocks.  Graph6Source decodes each
@@ -38,7 +38,6 @@ from .indices import INDEX_NAMES, IndexStats, indices_batch
 
 log = logging.getLogger(__name__)
 
-ENUM_MAX_ORDER = 7
 CANON_MAX_ORDER = 8
 HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # graphs per connectivity block of Graph6Source
@@ -129,15 +128,19 @@ def _canonical_mask(nb: Sequence[int]) -> int:
     return out
 
 
+def _check_canon_order(order: int) -> None:
+    if order > CANON_MAX_ORDER:
+        raise OrderTooLargeError(
+            f"canonical forms are supported up to order {CANON_MAX_ORDER}"
+        )
+
+
 def canonical_bits(g: Graph) -> int:
     """Smallest edge bitset over all relabelings of g (order <= 8).
 
     Computed by the exact refinement search of _canonical_mask.
     """
-    if g.order > CANON_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"canonical forms are supported up to order {CANON_MAX_ORDER}"
-        )
+    _check_canon_order(g.order)
     return _canonical_mask(g.neighbor_masks())
 
 
@@ -159,15 +162,12 @@ def enumerate_connected(m: int) -> list[Graph]:
     """All connected graphs on m vertices, one canonical graph per class.
 
     Built by extending the one-vertex graph one vertex at a time (see
-    extend_census) and returned in ascending bitset order.  Capped at order
-    7; larger orders must come from files or extend_census.
+    extend_census) and returned in ascending bitset order; canonical forms
+    cap it at order CANON_MAX_ORDER.
     """
     if m < 1:
         raise ValueError("order must be positive")
-    if m > ENUM_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"exhaustive enumeration is capped at order {ENUM_MAX_ORDER}"
-        )
+    _check_canon_order(m)
     graphs = [Graph(1, 0)]
     for _ in range(m - 1):
         graphs = _extend(graphs)
@@ -188,10 +188,7 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
     m = graphs[0].order
     if any(g.order != m for g in graphs):
         raise MixedOrdersError("extend_census needs a single-order census")
-    if m + 1 > CANON_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"extension needs canonical forms beyond order {CANON_MAX_ORDER}"
-        )
+    _check_canon_order(m + 1)
     return _extend(graphs)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import census, eigen, graph6, multipartite, verify
 from .census import format_float
-from .graphs import construct
+from .graphs import complete_multipartite
 from .indices import INDEX_NAMES, compute_indices
 
 
@@ -65,7 +65,7 @@ def _cmd_multipartite(args: argparse.Namespace) -> int:
     if args.mode in ("analytic", "both"):
         _print_analytic(spec)
     if args.mode in ("numeric", "both"):
-        dense = eigen.spectrum(construct("complete_multipartite", args.parts))
+        dense = eigen.spectrum(complete_multipartite(args.parts))
         print("numeric " + " ".join(format_float(v) for v in dense))
     if args.mode == "both":
         dev = float(np.max(np.abs(spec.values() - dense)))
@@ -166,6 +166,8 @@ def _cmd_approx_count(args: argparse.Namespace) -> int:
     if true is not None:
         rel = abs(approx - true) / true
         line += f" true {true} rel_error {rel:.4f}"
+    else:  # past the known counts the formula was fitted to
+        line += " extrapolated"
     print(line)
     return 0
 

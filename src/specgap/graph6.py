@@ -59,6 +59,7 @@ def decode(line: str | bytes) -> Graph:
             raise Graph6Error("orders above 258047 are not supported")
         if len(data) < 4:
             raise TruncatedPayloadError("long order field needs 4 bytes")
+        # data[1] <= 125, so order <= 62*4096 + 63*64 + 63 = _MAX_ORDER
         order = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         payload = data[4:]
     else:
@@ -66,8 +67,6 @@ def decode(line: str | bytes) -> Graph:
         payload = data[1:]
     if order < 1:
         raise Graph6Error("graph order must be at least 1")
-    if order > _MAX_ORDER:
-        raise Graph6Error(f"order {order} above supported maximum {_MAX_ORDER}")
 
     n_bits = pair_count(order)
     n_bytes = (n_bits + 5) // 6

@@ -176,33 +176,6 @@ def kmm_plus_e(m: int) -> Graph:
     return Graph(g.order, g.bits | (1 << pair_index(0, 1)))
 
 
-_SCALAR_FAMILIES = {
-    "complete": complete,
-    "path": path,
-    "cycle": cycle,
-    "star": star,
-    "kmm_minus_e": kmm_minus_e,
-    "kmm_plus_e": kmm_plus_e,
-}
-
-
-def construct(family: str, params: Sequence[int]) -> Graph:
-    """Build a named graph family from integer parameters.
-
-    Scalar families take one parameter; ``complete_multipartite`` takes the
-    full list of part sizes.
-    """
-    if family == "complete_multipartite":
-        return complete_multipartite(params)
-    fn = _SCALAR_FAMILIES.get(family)
-    if fn is None:
-        known = ", ".join(sorted(_SCALAR_FAMILIES) + ["complete_multipartite"])
-        raise InvalidParamsError(f"unknown family {family!r} (known: {known})")
-    if len(params) != 1:
-        raise InvalidParamsError(f"family {family!r} takes exactly one parameter")
-    return fn(int(params[0]))
-
-
 # ---------------------------------------------------------------------------
 # structure tests
 

@@ -181,8 +181,6 @@ class _Extremum:
             self._insert(key, label)
 
     def absorb(self, other: "_Extremum") -> None:
-        if other.best is None:
-            return
         self._rebase(other.best)
         for key, label in other.entries:
             self._insert(key, label)

@@ -116,8 +116,8 @@ class AnalyticSpectrum:
         )
         return np.sort(vals)[::-1]
 
-    def indices(self, zero_tol: float | None = None) -> SpectralIndices:
-        return compute_indices(self.values(), zero_tol)
+    def indices(self) -> SpectralIndices:
+        return compute_indices(self.values())
 
 
 def _normalize_parts(parts: Sequence[int]) -> tuple[int, ...]:
@@ -241,22 +241,19 @@ def reduced_part_matrix(parts: Sequence[int]) -> np.ndarray:
 def _real_cubic_roots(b: float, c: float, d: float) -> tuple[float, float, float]:
     """Three real roots of x^3 + b x^2 + c x + d, descending.
 
-    Trigonometric solution of the depressed form (valid because every cubic
-    solved here has nonnegative discriminant), then Newton-polished on the
-    original coefficients for full double precision at large magnitudes.
+    Trigonometric solution of the depressed form t^3 + p t + q, valid
+    because every cubic solved here has three real roots and p < 0 (both
+    callers: p = -(m1 m2 + m1 m3 + m2 m3) and p = -m^2 - 1/3), then
+    Newton-polished on the original coefficients for full double precision
+    at large magnitudes.
     """
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    if p >= 0.0:
-        # only the triple-root edge of our use cases lands here
-        t = -math.copysign(abs(q) ** (1.0 / 3.0), q)
-        roots = [t, t, t]
-    else:
-        amp = 2.0 * math.sqrt(-p / 3.0)
-        cos3 = (3.0 * q) / (2.0 * p) * math.sqrt(-3.0 / p)
-        cos3 = min(1.0, max(-1.0, cos3))
-        theta = math.acos(cos3) / 3.0
-        roots = [amp * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3)]
+    amp = 2.0 * math.sqrt(-p / 3.0)
+    cos3 = (3.0 * q) / (2.0 * p) * math.sqrt(-3.0 / p)
+    cos3 = min(1.0, max(-1.0, cos3))
+    theta = math.acos(cos3) / 3.0
+    roots = [amp * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3)]
     polished = []
     for t in roots:
         x = t - b / 3.0

@@ -46,20 +46,6 @@ class NoCensusError(ValueError):
     """A graph6 file was given to a suite that reads no census."""
 
 
-# suite name -> (suite function in this module, whether it sweeps a census);
-# run_check looks the function up when called, not when this is built
-_SUITES = {
-    "prop1": ("check_multipartite_bounds", False),
-    "prop2a": ("check_nonmultipartite_bounds", True),
-    "prop2b": ("check_power_maximum", True),
-    "prop3": ("check_minus_edge_family", False),
-    "prop4": ("check_plus_edge_family", False),
-    "bipartite-bound": ("check_bipartite_bound", True),
-    "classical": ("check_classical", True),
-    "vertex-add": ("check_vertex_addition", True),
-}
-CHECK_NAMES = tuple(_SUITES)
-
 # what a suite function returns: cases checked, cases skipped as out of
 # premise, and the failure tags
 Tally = tuple[int, int, tuple[str, ...]]
@@ -291,6 +277,20 @@ def check_vertex_addition(order: int, path: str | None = None) -> Tally:
                   ("pendant:", multipartite.pendant_lambda_min_bound_batch))
 
 
+# suite name -> (suite function, whether it sweeps a census)
+_SUITES = {
+    "prop1": (check_multipartite_bounds, False),
+    "prop2a": (check_nonmultipartite_bounds, True),
+    "prop2b": (check_power_maximum, True),
+    "prop3": (check_minus_edge_family, False),
+    "prop4": (check_plus_edge_family, False),
+    "bipartite-bound": (check_bipartite_bound, True),
+    "classical": (check_classical, True),
+    "vertex-add": (check_vertex_addition, True),
+}
+CHECK_NAMES = tuple(_SUITES)
+
+
 def run_check(name: str, order: int, path: str | None = None) -> SuiteResult:
     """Run a named suite; ``order`` is the census order, or the largest part
     size for the perturbation families.  Census suites read the graph6 file
@@ -298,9 +298,8 @@ def run_check(name: str, order: int, path: str | None = None) -> SuiteResult:
     given to any other suite raises NoCensusError."""
     if name not in _SUITES:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
-    function, sweeps_census = _SUITES[name]
+    suite, sweeps_census = _SUITES[name]
     if path is not None and not sweeps_census:
         raise NoCensusError(f"check {name} reads no census; it takes no graph6 file")
-    suite = globals()[function]
     tally = suite(order, path) if sweeps_census else suite(order)
     return SuiteResult(name, *tally)

@@ -3,8 +3,9 @@
 The tracer replaces these functions and methods by name when a traced
 benchmark run starts; a rename here would crash that run, so it fails this
 test first.  bench/spans.py is only read, never imported as a package.
-The caller bindings that bench/test_harness.py asserts are checked here
-too, since that file lies outside the tier-1 test paths.
+The caller bindings that bench/test_harness.py asserts, and the argument
+lists that bench/child.py passes to the CLI, are checked here too, since
+those files lie outside the tier-1 test paths.
 """
 
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from specgap import census, graphs, multipartite
+from specgap import census, cli, graphs, multipartite
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -47,3 +48,15 @@ def test_traced_caller_bindings_exist():
     assert census.is_connected is graphs.is_connected
     assert (multipartite.detect_complete_multipartite
             is graphs.detect_complete_multipartite)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--file", "F", "--out", "D", "--threads", "1",
+     "--chunk-size", "2048"],
+    *(["verify", "--check", check, "--order", "8", "--file", "F"]
+      for check in ("prop2a", "bipartite-bound", "vertex-add", "classical")),
+])
+def test_bench_child_argv_parses(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert args.file == "F"

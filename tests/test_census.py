@@ -73,8 +73,10 @@ def test_enumeration_properties(census5):
 
 
 def test_enumeration_order_cap():
+    with pytest.raises(ValueError):
+        enumerate_connected(0)
     with pytest.raises(OrderTooLargeError):
-        enumerate_connected(8)
+        enumerate_connected(9)
     with pytest.raises(OrderTooLargeError):
         canonical_bits(Graph(9, 0))
     with pytest.raises(OrderTooLargeError):
@@ -202,10 +204,13 @@ def test_canonical_bits_distinguishes():
     assert canonical_bits(t1) != canonical_bits(t2)
 
 
-def test_extend_census(census4, census5):
+def test_extend_census(census4, census5, census6, census7):
     got = extend_census(census4)
     assert len(got) == 21
     assert {g.bits for g in got} == {g.bits for g in census5}
+    assert extend_census(census6) == census7
+    with pytest.raises(EmptySourceError):
+        extend_census([])
     with pytest.raises(MixedOrdersError):
         extend_census([Graph(3, 3), Graph(4, 7)])
     with pytest.raises(OrderTooLargeError):
@@ -213,8 +218,9 @@ def test_extend_census(census4, census5):
 
 
 @pytest.mark.slow
-def test_extend_census_regenerates_committed_file(census7, census8_path):
-    regenerated = [graph6.encode(g) for g in extend_census(census7)]
+def test_extend_census_regenerates_committed_file(census8_path):
+    # enumerate_connected(8) is extend_census run from the one-vertex graph
+    regenerated = [graph6.encode(g) for g in enumerate_connected(8)]
     with open(census8_path) as fh:
         stored = [line.strip() for line in fh if line.strip()]
     assert regenerated == stored

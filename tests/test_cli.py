@@ -1,10 +1,11 @@
 """Command-line interface: output shapes, exit codes, adapter fidelity."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from specgap import cli, eigen, graph6
+from specgap import cli, eigen, graph6, multipartite, verify
 from specgap.graphs import complete
 
 
@@ -114,6 +115,19 @@ def test_extremal_alias(capsys):
     assert graph6.encode(complete(4)) in out
 
 
+def test_extremal_names_the_witnesses_past_the_cap(capsys, tmp_path):
+    f = tmp_path / "ties.g6"
+    f.write_text("Bw\n" * 20 + "Bg\n")
+    code, out, _ = run(capsys, "extremal", "--file", str(f),
+                       "--index", "lmax", "--dir", "max")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "max lambda_max 2.000000 over 21 graphs"
+    k3 = "witness Bw spectrum 2.000000 -1.000000 -1.000000"
+    assert lines[1:-1] == [k3] * 16
+    assert lines[-1] == "witness_overflow 4"
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--check", "prop1", "--order", "5")
     assert code == 0
@@ -128,6 +142,60 @@ def test_verify_failure_exits_one(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     assert "first_counterexample" in out
+
+
+def _boom(*_):
+    raise RuntimeError("boom")
+
+
+# (check, order, (module, name, value) patches, first counterexample);
+# each patch moves an expected value or a predicate so one tag fires
+_FAILURE_TAGS = [
+    ("prop1", "3", [(verify, "_TOL", -1.0)],
+     "1+1+1: analytic/dense spectra differ"),
+    ("prop1", "3", [(multipartite, "multipartite_bounds_check",
+                     lambda parts: SimpleNamespace(holds=True)),
+                    (eigen, "default_zero_tol", lambda order: 100.0)],
+     "1+1+1: 0 positive eigenvalues"),
+    ("prop1", "3", [(multipartite, "_SLACK", -1e9)], "1+1+1: bound violated"),
+    ("prop1", "3", [(multipartite, "multipartite_bounds_check", _boom)],
+     "1+1+1: boom"),
+    ("prop2b", "5", [(verify, "_TOL", -1.0)], "max pow 8.0000000000 != 8.0"),
+    ("prop2b", "5", [(verify, "_is_complete", lambda g: False)],
+     "complete graph missing from witnesses"),
+    ("prop2b", "7", [(verify, "_POW7_SPECTRA", ((7.0,) * 7,) * 2)],
+     "unexpected witness spectrum ("),
+    ("prop3", "4", [(verify, "_TOL", -1.0)], "m=2: spectra differ"),
+    ("prop4", "4", [(verify, "_TOL", -1.0)], "m=2: spectra differ"),
+    ("prop4", "4", [(verify, "compute_indices",
+                     lambda vals: SimpleNamespace(lambda_minus=0.0))],
+     "m=3: lambda_minus 0.0 != -1"),
+]
+
+
+@pytest.mark.parametrize("check,order,patches,first", _FAILURE_TAGS)
+def test_verify_failure_tags(capsys, monkeypatch, check, order, patches,
+                             first):
+    for module, name, value in patches:
+        monkeypatch.setattr(module, name, value)
+    code, out, err = run(capsys, "verify", "--check", check, "--order", order)
+    assert (code, err) == (1, "")
+    assert out.startswith(f"{check} FAIL checked ")
+    assert out.splitlines()[1].startswith(f"first_counterexample {first}")
+
+
+@pytest.mark.parametrize("order,lines,first", [
+    ("5", "D~{\nD~{\n", "expected a unique witness, got 2"),  # K5 twice
+    ("7", "F~~~w\n", "expected 2 witnesses, got 1"),  # K7 alone
+])
+def test_verify_power_maximum_witness_count(capsys, tmp_path, order, lines,
+                                            first):
+    f = tmp_path / "census.g6"
+    f.write_text(lines)
+    code, out, _ = run(capsys, "verify", "--check", "prop2b",
+                       "--order", order, "--file", str(f))
+    assert code == 1
+    assert out.splitlines()[1] == f"first_counterexample {first}"
 
 
 @pytest.mark.parametrize("check,order", [
@@ -183,15 +251,25 @@ def test_density_command(capsys):
 def test_approx_count_command(capsys):
     code, out, _ = run(capsys, "approx-count", "--order", "9")
     assert code == 0
-    assert "approx 261080.0" in out
-    assert "true 261080" in out
-    assert "rel_error 0.0000" in out
+    assert out == "order 9 approx 261080.0 true 261080 rel_error 0.0000\n"
+    code, out, _ = run(capsys, "approx-count", "--order", "10")
+    assert code == 0
+    assert out == ("order 10 approx 8068143.3 true 11716571 "
+                   "rel_error 0.3114\n")
+
+
+def test_approx_count_marks_orders_past_the_known_counts(capsys):
+    code, out, err = run(capsys, "approx-count", "--order", "11")
+    assert (code, err) == (0, "")
+    assert out.startswith("order 11 approx ")
+    assert out.endswith(" extrapolated\n")
 
 
 def test_approx_count_past_the_float_range_is_an_input_error(capsys):
     code, out, err = run(capsys, "approx-count", "--order", "59")
     assert (code, err) == (0, "")
     assert out.startswith("order 59 approx 26108")
+    assert out.endswith(" extrapolated\n")
     assert math.isfinite(float(out.split()[3]))
     for order in ("60", "2000"):
         code, out, err = run(capsys, "approx-count", "--order", order)
@@ -227,6 +305,9 @@ def test_usage_errors(capsys):
                   "--index", "gap", "--dir", "min"])
     with pytest.raises(SystemExit):
         cli.main(["no-such-command"])
+    with pytest.raises(SystemExit) as err:
+        cli.main(["multipartite", "--parts", "1,x"])
+    assert err.value.code == 2
 
 
 def test_adapter_matches_library(capsys):

@@ -43,6 +43,9 @@ def test_long_form_orders():
     assert graph6.encode(Graph(62, 0))[0] == "}"
     big = Graph(100, (1 << 70) | 1)
     assert graph6.decode(graph6.encode(big)) == big
+    # the 4-byte length field tops out at 258047
+    with pytest.raises(graph6.Graph6Error):
+        graph6.encode(Graph(258048))
 
 
 def test_decode_errors():

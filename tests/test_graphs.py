@@ -11,7 +11,6 @@ from specgap.graphs import (
     bipartition,
     complete,
     complete_multipartite,
-    construct,
     cycle,
     detect_complete_multipartite,
     from_edges,
@@ -101,16 +100,6 @@ def test_family_validation():
         complete_multipartite([2, 0])
     with pytest.raises(InvalidParamsError):
         kmm_minus_e(1)
-    with pytest.raises(InvalidParamsError):
-        construct("no_such_family", [3])
-
-
-def test_construct_dispatch():
-    assert construct("complete", [4]) == complete(4)
-    assert construct("cycle", [6]) == cycle(6)
-    assert construct("complete_multipartite", [1, 2, 3]) == \
-        complete_multipartite([1, 2, 3])
-    assert construct("kmm_plus_e", [3]) == kmm_plus_e(3)
 
 
 def test_kmm_minus_e_shape():
