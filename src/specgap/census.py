@@ -10,18 +10,25 @@ new vertex in every possible way and keeping one canonical graph per class
 enumerate_connected runs that extension from the one-vertex graph, up to
 order 8 (CANON_MAX_ORDER).  Larger orders come from graph6 files.
 
-Graph6Source, run_census and the verify sweeps cut their graph streams
-into same-order blocks with one cutter, _blocks.  Graph6Source decodes each
-line on its own and decides connectivity per block, at every order.
-run_census eigensolves each block in one batch and merges per-block moment
-accumulators in a fixed order, so results are identical for any number of
-threads.
+The census path is columnar.  Graph6Source reads its file in blocks of
+raw lines and decodes a block of one order byte and width in one numpy
+pass into pair bits (graphs.py), one row per graph; other blocks go line
+by line through graph6.decode, so every error keeps its file:line text.
+Connectivity is decided per block on the pair bits, and run_census
+regroups the connected rows into chunks of exactly chunk_size graphs, cut
+at order changes, eigensolves each chunk in one batch and merges per-chunk
+moment accumulators in chunk order, so a report depends neither on where
+the file's blocks fall nor on the number of threads.  A Graph is built
+only for a witness label, or when a caller iterates the source.  Other
+sources are cut into chunks of Graphs by _blocks, the cutter the verify
+sweeps use, and converted to pair bits chunk by chunk.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import logging
 import os
 from collections import Counter, deque
@@ -32,7 +39,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import eigen, graph6
-from .graphs import Graph, _adjacency_stack, _connected
+from .graphs import (Graph, _adjacency, _connected_rows, _pair_bits,
+                     _to_graphs)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import INDEX_NAMES, IndexStats, indices_batch
 
@@ -198,14 +206,16 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
 class Graph6Source:
     """Iterable over the connected graphs of a graph6 file.
 
-    Lines are decoded one at a time and buffered in blocks of one order (at
-    most SOURCE_BLOCK graphs); each block's connectivity is decided in one
-    vectorized pass, and its connected graphs are yielded in file order.
-    Disconnected entries are skipped and counted in rejected_disconnected;
-    read and rejected_disconnected count up as graphs are yielded, so at
-    each yield read is the yielded graph's number in the file.  Malformed
-    lines raise Graph6FileError with the file name and line number, before
-    the rest of their block is yielded.
+    The file is read in blocks of SOURCE_BLOCK lines; a block of one order
+    byte and width is decoded columnar (graph6.decode_block), any other
+    line by line with graph6.decode.  Connectivity is decided per block,
+    and the connected graphs come out in file order: as Graphs when
+    iterated, as pair-bit batches to run_census.  Disconnected entries are
+    skipped and counted in rejected_disconnected; when iterated, read and
+    rejected_disconnected count up as graphs are yielded, so at each yield
+    read is the yielded graph's number in the file.  Malformed lines raise
+    Graph6FileError with the file name and line number, before the rest of
+    their block is yielded.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -214,34 +224,55 @@ class Graph6Source:
         self.rejected_disconnected = 0
 
     def __iter__(self) -> Iterator[Graph]:
-        self.read = 0
-        self.rejected_disconnected = 0
-        for block in _blocks(self._decoded(), SOURCE_BLOCK):
-            for g, connected in zip(block, _connected(block).tolist()):
-                self.read += 1
-                if connected:
-                    yield g
-                else:
-                    self.rejected_disconnected += 1
-        if self.rejected_disconnected:
-            log.warning("%s: skipped %d disconnected graph(s)", self.path,
-                        self.rejected_disconnected)
-
-    def _decoded(self) -> Iterator[Graph]:
-        """The decoded graphs of the file, in file order."""
-        header = graph6.HEADER.encode()
-        with open(self.path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line.startswith(header):
-                    line = line[len(header):]
-                if not line:
-                    continue
-                try:
-                    g = graph6.decode(line)
-                except graph6.Graph6Error as exc:
-                    raise Graph6FileError(f"{self.path}:{lineno}: {exc}") from exc
+        yielded = 0
+        for m, bits, reads in self._batches():
+            for g, read in zip(_to_graphs(m, bits), reads.tolist()):
+                yielded += 1
+                self.read, self.rejected_disconnected = read, read - yielded
                 yield g
+
+    def _batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Per block: the order, the pair bits of the connected graphs, and
+        each one's number in the file."""
+        self.read = self.rejected_disconnected = 0
+        read = kept = 0
+        for m, bits in self._read_blocks():
+            rows = np.flatnonzero(_connected_rows(m, bits))
+            yield m, bits[rows], read + 1 + rows
+            read += len(bits)
+            kept += len(rows)
+        self.read, self.rejected_disconnected = read, read - kept
+        if read > kept:
+            log.warning("%s: skipped %d disconnected graph(s)", self.path,
+                        read - kept)
+
+    def _read_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The order and pair bits of every block of the file's graphs, in
+        file order."""
+        header = graph6.HEADER.encode()
+        lineno = 0
+        with open(self.path, "rb") as fh:
+            while lines := list(itertools.islice(fh, SOURCE_BLOCK)):
+                block = graph6.decode_block(lines)
+                if block is not None:
+                    yield block
+                else:
+                    # one line at a time, as graph6.decode reads it,
+                    # skipping blank lines and headers
+                    graphs = []
+                    for k, raw in enumerate(lines, start=lineno + 1):
+                        line = raw.strip()
+                        if line.startswith(header):
+                            line = line[len(header):]
+                        if not line:
+                            continue
+                        try:
+                            graphs.append(graph6.decode(line))
+                        except graph6.Graph6Error as exc:
+                            raise Graph6FileError(
+                                f"{self.path}:{k}: {exc}") from exc
+                    yield from map(_pair_bits, _blocks(graphs, SOURCE_BLOCK))
+                lineno += len(lines)
 
 
 def _blocks(graphs: Iterable[Graph], size: int) -> Iterator[list[Graph]]:
@@ -296,24 +327,50 @@ class CensusReport:
     histograms: dict[str, Histogram]
     rejected_disconnected: int = 0
 
-def _chunk_payload(graphs: list[Graph], zero_tol: float | None):
-    vals = eigen.spectra_batch(_adjacency_stack(graphs))
+def _chunk_payload(m: int, bits: np.ndarray, zero_tol: float | None):
+    vals = eigen.spectra_batch(_adjacency(m, bits))
     per_index = indices_batch(vals, zero_tol)
-    witness = functools.cache(lambda i: graph6.encode(graphs[i]))
+    witness = functools.cache(
+        lambda i: graph6.encode(_to_graphs(m, bits[i:i + 1])[0]))
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     for name in INDEX_NAMES:
         stats[name].update_many(per_index[name], witness)
         hists[name].update_many(per_index[name])
-    return len(graphs), stats, hists
+    return len(bits), stats, hists
+
+
+def _chunks(batches: Iterable[tuple[int, np.ndarray]], size: int
+            ) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of consecutive batches regrouped into chunks of one order,
+    exactly size rows each but the last before an order change or the
+    end: the cut _blocks makes of the same graphs."""
+    order, rows = 0, np.zeros((0, 0), np.uint8)
+    for m, bits in batches:
+        if not len(bits):
+            continue
+        if m != order:
+            if len(rows):
+                yield order, rows
+            order, rows = m, bits
+        else:
+            rows = np.concatenate([rows, bits])
+        while len(rows) >= size:
+            yield m, rows[:size]
+            rows = rows[size:]
+    if len(rows):
+        yield order, rows
 
 
 def run_census(source: Iterable[Graph], zero_tol: float | None = None,
                threads: int = 1, chunk_size: int = 2048) -> CensusReport:
     """Stream a single-order graph source into a CensusReport.
 
-    Chunks are eigensolved in batch; per-chunk accumulators merge in chunk
-    order, so the report is identical for any thread count.
+    The chunks hold chunk_size graphs each, cut at order changes; a
+    Graph6Source hands over its pair-bit batches, other sources are
+    converted chunk by chunk.  Chunks are eigensolved in batch; per-chunk
+    accumulators merge in chunk order, so the report is identical for any
+    thread count.
     """
     if min(threads, chunk_size) < 1:
         raise ValueError("threads and chunk_size must be at least 1")
@@ -330,23 +387,27 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
             stats[name].absorb(st[name])
             hists[name].absorb(hs[name])
 
-    def chunks() -> Iterator[list[Graph]]:
+    if isinstance(source, Graph6Source):
+        cut = _chunks((batch[:2] for batch in source._batches()), chunk_size)
+    else:
+        cut = map(_pair_bits, _blocks(source, chunk_size))
+
+    def chunks() -> Iterator[tuple[int, np.ndarray]]:
         nonlocal order
-        for chunk in _blocks(source, chunk_size):
-            m = chunk[0].order
+        for m, bits in cut:
             if order and m != order:
                 raise MixedOrdersError(f"census mixes orders {order} and {m}")
             order = m
-            yield chunk
+            yield m, bits
 
     if threads == 1:
         for chunk in chunks():
-            merge(_chunk_payload(chunk, zero_tol))
+            merge(_chunk_payload(*chunk, zero_tol))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             window: deque = deque()
             for chunk in chunks():
-                window.append(pool.submit(_chunk_payload, chunk, zero_tol))
+                window.append(pool.submit(_chunk_payload, *chunk, zero_tol))
                 if len(window) >= threads + 2:
                     merge(window.popleft().result())
             while window:

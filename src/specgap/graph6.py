@@ -4,10 +4,16 @@ graph6 is the line-oriented ASCII format used by the standard small-graph
 collections: a length field N(m) followed by the strict upper triangle of
 the adjacency matrix, column-major, packed 6 bits per printable byte
 (offset 63).  Orders up to 258047 are supported here (1- and 4-byte length
-fields); the 8-byte form is rejected.
+fields); the 8-byte form is rejected.  decode reads one line; decode_block
+reads a block of file lines of one order byte and width in one numpy pass,
+into the pair-bit matrix of graphs.py.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
 
 from .graphs import Graph, pair_count
 
@@ -83,6 +89,34 @@ def decode(line: str | bytes) -> Graph:
     if bits >> n_bits:
         raise NonzeroPaddingError("set bit in graph6 padding")
     return Graph(order, bits)
+
+
+def decode_block(lines: Sequence[bytes]) -> tuple[int, np.ndarray] | None:
+    """The order and (n, pair_count(order)) pair-bit matrix of n >= 1 raw
+    file lines (as iterating a binary file gives them), each one short-form
+    graph6 graph ending in a newline, all with one order byte and width.
+    None if any line breaks that form or fails a check that decode makes;
+    the caller then decodes the lines one by one."""
+    n, width = len(lines), len(lines[0])
+    data = b"".join(lines)
+    order = data[0] - 63
+    if not 1 <= order <= 62 or len(data) != n * width:
+        return None
+    n_bits = pair_count(order)
+    n_bytes = (n_bits + 5) // 6
+    rows = np.frombuffer(data, np.uint8).reshape(n, width)
+    # the last column all newlines means every line is exactly width long
+    payload = rows[:, 1:-1]
+    if (width != n_bytes + 2 or (rows[:, -1] != 10).any()
+            or (rows[:, 0] != data[0]).any()
+            or ((payload < 63) | (payload > 126)).any()):
+        return None
+    # each payload byte holds 6 pairs, the first in its high bit
+    six = np.unpackbits((payload - 63)[:, :, None], axis=2)[:, :, 2:]
+    bits = six.reshape(n, 6 * n_bytes)
+    if bits[:, n_bits:].any():
+        return None
+    return order, bits[:, :n_bits]
 
 
 def encode(g: Graph) -> str:

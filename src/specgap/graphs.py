@@ -6,13 +6,15 @@ numbered column-major over the strict upper triangle, i.e. (0,1), (0,2),
 (1,2), (0,3), ..., which makes the bitset order-compatible with the graph6
 serialization and lets a vertex-relabeling act as a pure bit permutation.
 
-This module alone turns a batch (a list of same-order graphs) into arrays:
-adjacency stacks and per-vertex neighbor masks.  _order is the one check
-that a batch is non-empty and of one order, and _neighbors the one place
-that cuts between uint64 edge masks (up to 63 vertex pairs) and per-graph
-neighbor masks.  The structure tests come in batch forms on those masks:
-_connected, bipartite_batch and complete_multipartite_batch, whose
-one-graph calls are bipartition and detect_complete_multipartite.
+A batch of same-order graphs travels as its order and its pair-bit
+matrix, one 0/1 row per graph in bitset order: _pair_bits builds it from
+a list of graphs (the one check that such a list is non-empty and of one
+order), graph6.decode_block straight from file lines.  Every array of a
+batch is scattered from its pair bits here: adjacency stacks and
+per-vertex neighbor masks (uint64 up to 64 vertices, Python ints beyond).
+The structure tests come in batch forms on those masks: _connected,
+bipartite_batch and complete_multipartite_batch, whose one-graph calls are
+bipartition and detect_complete_multipartite.
 """
 
 from __future__ import annotations
@@ -217,55 +219,63 @@ def detect_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 # batches of same-order graphs
 #
-# Every array of a batch is built here.  Each builder starts with _order,
-# the one check that a batch is non-empty and of one order, and _neighbors
-# alone knows the 63-pair cut of uint64 edge masks.
+# The pair-bit matrix of a batch of order m is (n, pair_count(m)) uint8:
+# row k holds the edge bitset of graph k, pair p in column p.
 
-def _order(graphs: Sequence[Graph]) -> int:
-    """The order of a batch; ValueError if it is empty or mixes orders."""
+def _pair_bits(graphs: Sequence[Graph]) -> tuple[int, np.ndarray]:
+    """The order and pair-bit matrix of a batch of same-order graphs;
+    ValueError if the batch is empty or mixes orders."""
     if not graphs:
         raise ValueError("a batch holds at least one graph")
     m = graphs[0].order
     if any(g.order != m for g in graphs):
         raise ValueError("a batch holds graphs of one order")
-    return m
-
-
-def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The (n, m, m) float adjacency matrices of same-order graphs, from
-    the little-endian bytes of each edge bitset."""
-    m = _order(graphs)
     n_pairs = pair_count(m)
     size = (n_pairs + 7) // 8
     raw = b"".join(g.bits.to_bytes(size, "little") for g in graphs)
-    cols = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(graphs), size),
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(graphs), size),
                          axis=1, count=n_pairs, bitorder="little")
-    mats = np.zeros((len(graphs), m, m))
+    return m, bits
+
+
+def _to_graphs(m: int, bits: np.ndarray) -> list[Graph]:
+    """The graphs of a batch's pair-bit rows."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [Graph(m, int.from_bytes(row, "little")) for row in packed]
+
+
+def _adjacency(m: int, bits: np.ndarray, dtype=float,
+               width: int | None = None) -> np.ndarray:
+    """The (n, m, m) symmetric 0/1 adjacency matrices of a batch, or its
+    (n, m, width) rows zero-padded on the right."""
+    width = width or m
+    mats = np.zeros((len(bits), m, width), dtype)
+    flat = mats.reshape(len(bits), m * width)
     ju, iu = np.tril_indices(m, -1)  # the pairs (i, j) in bitset order
-    mats[:, iu, ju] = cols
-    mats[:, ju, iu] = cols
+    flat[:, iu * width + ju] = bits
+    flat[:, ju * width + iu] = bits
     return mats
 
 
-def _neighbors(graphs: Sequence[Graph]) -> list[np.ndarray]:
-    """For each vertex v, v's neighbor mask in every graph of a batch:
-    from uint64 edge masks up to 63 vertex pairs, else from each graph's
-    neighbor_masks, as uint64 up to 64 vertices and Python ints beyond."""
-    m = _order(graphs)
-    if pair_count(m) > 63:
-        dtype = np.uint64 if m <= 64 else object
-        return list(np.array([g.neighbor_masks() for g in graphs], dtype=dtype).T)
-    masks = np.fromiter((g.bits for g in graphs), dtype=np.uint64,
-                        count=len(graphs))
-    nb = [np.zeros_like(masks) for _ in range(m)]
-    p = 0
-    for j in range(1, m):
-        for i in range(j):
-            edge = (masks >> p) & 1
-            nb[i] |= edge << j
-            nb[j] |= edge << i
-            p += 1
-    return nb
+def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The (n, m, m) float adjacency matrices of same-order graphs."""
+    return _adjacency(*_pair_bits(graphs))
+
+
+def _neighbors(m: int, bits: np.ndarray) -> list[np.ndarray]:
+    """For each vertex v, v's neighbor mask in every graph of a batch, as
+    uint64 up to 64 vertices and Python ints beyond: the adjacency rows,
+    padded to whole 8-byte words and packed into their little-endian
+    bytes."""
+    width = 64 * -(-m // 64)
+    rows = np.packbits(_adjacency(m, bits, np.uint8, width), axis=2,
+                       bitorder="little")
+    if m <= 64:
+        masks = rows.view("<u8")[:, :, 0]
+    else:
+        masks = np.array([[int.from_bytes(x, "little") for x in g] for g in rows],
+                         dtype=object)
+    return list(np.ascontiguousarray(masks.T))
 
 
 def _bfs(nb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,16 +298,20 @@ def _bfs(nb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return layers[0] | layers[1], layers[0], clash != 0
 
 
+def _connected_rows(m: int, bits: np.ndarray) -> np.ndarray:
+    """Which graphs of a batch (order and pair bits) are connected."""
+    return _bfs(_neighbors(m, bits))[0] == (1 << m) - 1
+
+
 def _connected(graphs: Sequence[Graph]) -> np.ndarray:
     """Which of a batch of same-order graphs are connected."""
-    nb = _neighbors(graphs)
-    return _bfs(nb)[0] == (1 << len(nb)) - 1
+    return _connected_rows(*_pair_bits(graphs))
 
 
 def bipartite_batch(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     """Which of a batch of same-order graphs are connected and bipartite,
     and the mask of each one's vertices at even distance from vertex 0."""
-    nb = _neighbors(graphs)
+    nb = _neighbors(*_pair_bits(graphs))
     reached, even, clash = _bfs(nb)
     return (reached == (1 << len(nb)) - 1) & ~clash, even
 
@@ -307,7 +321,7 @@ def complete_multipartite_batch(graphs: Sequence[Graph]) -> np.ndarray:
     with at least two parts: those with an edge in which every two
     non-adjacent vertices have the same neighbors (non-adjacency is then an
     equivalence relation, and its classes are the parts)."""
-    nb = _neighbors(graphs)
+    nb = _neighbors(*_pair_bits(graphs))
     ok = np.logical_or.reduce([x != 0 for x in nb])
     for v in range(1, len(nb)):
         for u in range(v):

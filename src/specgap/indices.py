@@ -266,11 +266,14 @@ class IndexStats:
         """Add a chunk of observations at once.
 
         ``witness_for`` maps a chunk-local position to its label and is only
-        invoked for positions near the chunk extremes.
+        invoked for positions near the chunk extremes.  A NaN or infinite
+        value raises ValueError and leaves the accumulator unchanged.
         """
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
+        if not np.isfinite(values).all():
+            raise ValueError("index values must be finite")
         mean_b = float(values.mean())
         d = values - mean_b
         d2 = d * d

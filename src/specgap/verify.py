@@ -175,7 +175,7 @@ def check_power_maximum(order: int, path: str | None = None) -> Tally:
             failures.append(f"expected 2 witnesses, got {len(witnesses)}")
         else:
             spectra = sorted(
-                tuple(round(v, 6) for v in eigen.spectrum(g)) for g in witnesses
+                tuple(round(float(v), 6) for v in eigen.spectrum(g)) for g in witnesses
             )
             for got, want in zip(spectra, sorted(_POW7_SPECTRA)):
                 if max(abs(a - b) for a, b in zip(got, want)) > _TOL:

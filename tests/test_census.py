@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from specgap.census import (
 )
 from specgap.graphs import (
     Graph,
+    _adjacency_stack,
+    _connected,
     complete,
     complete_multipartite,
     cycle,
@@ -298,43 +301,158 @@ def test_graph6_source_header_in_mid_file(tmp_path):
     assert src.read == 3
 
 
-def _per_line_reference(lines):
-    """(graph, read, rejected) at each yield of the one-graph-at-a-time
-    reader: the behaviour the block reader must reproduce."""
+def _per_line_reference(path):
+    """(graph, read, rejected) at each yield of a reader that decodes one
+    line at a time and tests each graph's connectivity on its own, the
+    final (read, rejected), and the Graph6FileError text it stops with, if
+    any: the behaviour the block reader must reproduce."""
     read = rejected = 0
     out = []
-    for line in lines:
-        if not line.strip():
-            continue
-        g = graph6.decode(line)
-        read += 1
-        if is_connected(g):
-            out.append((g, read, rejected))
-        else:
-            rejected += 1
-    return out, read, rejected
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith(graph6.HEADER.encode()):
+                line = line[len(graph6.HEADER):]
+            if not line:
+                continue
+            try:
+                g = graph6.decode(line)
+            except graph6.Graph6Error as exc:
+                return out, read, rejected, f"{path}:{lineno}: {exc}"
+            read += 1
+            if is_connected(g):
+                out.append((g, read, rejected))
+            else:
+                rejected += 1
+    return out, read, rejected, None
 
 
-def test_graph6_source_blocks_match_the_per_line_reader(tmp_path):
-    rng = np.random.default_rng(4)
+def _malformed(line, defect):
+    """A graph6 line (no ending) broken in one way."""
+    body = line[1:] if line[0] != 126 else line[4:]
+    if defect == "bad byte":
+        return line[:-1] + b"\x19"
+    if defect == "set padding bit" and body and pair_count(
+            graph6.decode(line).order) % 6:
+        return line[:-1] + bytes([((line[-1] - 63) | 1) + 63])
+    if defect == "truncated payload" and body:
+        return line[:-1]
+    return line + b"?"  # a trailing byte
+
+
+@st.composite
+def _graph6_files(draw):
+    """The bytes of a graph6 file: runs of graphs of orders 1-13 and at most
+    one run of order 65 (long-form order field), with blank lines, headers
+    on their own or before a graph, CRLF endings, at most one malformed
+    line or line of another order inside a run, and maybe no final
+    newline."""
+    orders = draw(st.lists(st.integers(1, 13), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        orders.insert(draw(st.integers(0, len(orders))), 65)
     lines = []
-    # more than one block of order 6, sparse enough that many are
-    # disconnected, an order change inside the second block, then order 7
-    for order, count in ((6, census.SOURCE_BLOCK + 700), (7, 900)):
-        n = pair_count(order)
-        masks = (rng.integers(0, 1 << n, size=count, dtype=np.uint64)
-                 & rng.integers(0, 1 << n, size=count, dtype=np.uint64))
-        lines += [graph6.encode(Graph(order, int(x))) for x in masks]
-    lines.insert(5, "")
-    f = tmp_path / "blocks.g6"
-    f.write_text("\n".join(lines) + "\n")
-    want, read, rejected = _per_line_reference(lines)
-    assert 100 < rejected < len(lines) - 100
+    for m in orders:
+        masks = st.integers(0, (1 << pair_count(m)) - 1)
+        for bits in draw(st.lists(masks, min_size=1, max_size=12)):
+            lines.append(graph6.encode(Graph(m, bits)).encode())
+    defect = draw(st.sampled_from([None, "bad byte", "set padding bit",
+                                   "truncated payload", "trailing byte",
+                                   "another order"]))
+    if defect is not None:
+        k = draw(st.integers(0, len(lines) - 1))
+        if defect == "another order":
+            m = graph6.decode(lines[k]).order
+            lines[k] = graph6.encode(path(m % 13 + 1)).encode()
+        else:
+            lines[k] = _malformed(lines[k], defect)
+    ends = [b"\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines)))
+        extra = draw(st.sampled_from([b"", b">>graph6<<", b"  "]))
+        lines.insert(k, extra)
+        ends.insert(k, b"\n")
+    for k in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
+        ends[k] = b"\r\n"
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, len(lines) - 1))
+        if not lines[k].startswith(b">"):
+            lines[k] = b">>graph6<<" + lines[k]
+    if draw(st.booleans()):
+        ends[-1] = b""
+    return b"".join(x + e for x, e in zip(lines, ends))
 
-    src = Graph6Source(str(f))
+
+@settings(max_examples=200, deadline=None)
+@given(data=_graph6_files(), block=st.integers(1, 9))
+def test_graph6_source_blocks_match_the_per_line_reader(data, block,
+                                                        tmp_path_factory):
+    # small blocks, so that a file holds both blocks of one order byte and
+    # width (decoded columnar) and blocks decoded line by line
+    f = tmp_path_factory.mktemp("g6") / "f.g6"
+    f.write_bytes(data)
+    want, read, rejected, error = _per_line_reference(f)
+    src = Graph6Source(f)
+    got = []
+    with mock.patch.object(census, "SOURCE_BLOCK", block):
+        try:
+            for g in src:
+                got.append((g, src.read, src.rejected_disconnected))
+        except Graph6FileError as exc:
+            # the graphs before the bad line's block come out first
+            assert str(exc) == error
+            assert got == want[:len(got)]
+        else:
+            assert error is None
+            assert got == want
+            assert (src.read, src.rejected_disconnected) == (read, rejected)
+
+
+def test_graph6_source_decodes_uniform_blocks_without_decode(tmp_path,
+                                                             monkeypatch):
+    # blocks of one order byte and width never reach the per-line decoder
+    rng = np.random.default_rng(9)
+    masks = rng.integers(0, 1 << 36, size=3 * census.SOURCE_BLOCK + 5)
+    f = tmp_path / "order9.g6"
+    f.write_text("".join(graph6.encode(Graph(9, int(x))) + "\n" for x in masks))
+    want = _per_line_reference(f)
+    monkeypatch.setattr(graph6, "decode", None)
+    src = Graph6Source(f)
     got = [(g, src.read, src.rejected_disconnected) for g in src]
-    assert got == want
-    assert (src.read, src.rejected_disconnected) == (read, rejected)
+    assert (got, src.read, src.rejected_disconnected, None) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(2, 8), data=st.data())
+def test_census_of_a_file_matches_the_census_of_its_graphs(order, data,
+                                                           tmp_path_factory):
+    # most graphs get a spanning path, so that chunks fill up
+    spanned = st.tuples(st.integers(0, (1 << pair_count(order)) - 1),
+                        st.integers(0, 3))
+    masks = [b | path(order).bits if spans else b for b, spans
+             in data.draw(st.lists(spanned, min_size=1, max_size=60))]
+    lines = [graph6.encode(Graph(order, b)) for b in masks]
+    lines.insert(data.draw(st.integers(0, len(lines))), graph6.encode(path(order)))
+    lines.insert(data.draw(st.integers(0, len(lines))), "")
+    d = tmp_path_factory.mktemp("census")
+    f = d / "f.g6"
+    f.write_text("\n".join(lines) + "\n")
+    block = data.draw(st.integers(1, 9))
+    with mock.patch.object(census, "SOURCE_BLOCK", block):
+        graphs = list(Graph6Source(f))
+        for chunk_size, threads in itertools.product((1, 7, 2048), (1, 2)):
+            src = Graph6Source(f)
+            outputs = []
+            for source in (src, graphs):
+                report = run_census(source, threads=threads,
+                                    chunk_size=chunk_size)
+                out = d / f"{len(outputs)}"
+                out.mkdir(exist_ok=True)
+                write_stats_csv(report, out / "stats.csv")
+                paths = write_histogram_csvs(report, out)
+                outputs.append([open(p, "rb").read()
+                                for p in [out / "stats.csv", *paths]])
+            assert outputs[0] == outputs[1]
+            assert src.rejected_disconnected == len(masks) + 1 - len(graphs)
 
 
 @pytest.mark.parametrize("lines", [0, 1, census.SOURCE_BLOCK,
@@ -348,21 +466,21 @@ def test_graph6_source_block_edges(tmp_path, lines):
 
 
 @settings(max_examples=60, deadline=None)
-@given(order=st.integers(1, 13), data=st.data())
+@given(order=st.integers(1, 13) | st.just(65), data=st.data())
 def test_block_connectivity_matches_is_connected(order, data):
-    # orders 12 and 13 lie past the 63-pair cut of uint64 edge masks
+    # order 65 takes Python-int neighbor masks, the others uint64
     n = pair_count(order)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                max_size=40))
     graphs = [Graph(order, b) for b in masks]
-    got = census._connected(graphs)
+    got = _connected(graphs)
     assert got.tolist() == [is_connected(g) for g in graphs]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_block_connectivity_exhaustive_small_orders(order):
     graphs = [Graph(order, b) for b in range(1 << pair_count(order))]
-    got = census._connected(graphs)
+    got = _connected(graphs)
     assert got.tolist() == [is_connected(g) for g in graphs]
 
 
@@ -375,7 +493,7 @@ def test_graph6_source_past_the_mask_cut_checks_each_graph(tmp_path):
     assert pair_count(12) > 63
     f = tmp_path / "order12.g6"
     f.write_text("".join(graph6.encode(g) + "\n" for g in graphs))
-    want, read, rejected = _per_line_reference(graph6.encode(g) for g in graphs)
+    want, read, rejected, _ = _per_line_reference(f)
     src = Graph6Source(str(f))
     got = [(g, src.read, src.rejected_disconnected) for g in src]
     assert got == want
@@ -481,6 +599,17 @@ def test_blocks_cut_at_order_changes_and_every_size_graphs():
     assert list(census._blocks(graphs, 1)) == [[g] for g in graphs]
     assert list(census._blocks(graphs, 100)) == [graphs[:5], graphs[5:7],
                                                  graphs[7:]]
+
+
+def test_census_skips_a_disconnected_run_of_another_order(tmp_path):
+    # only connected graphs make up the census, so the order-4 run is no
+    # order change
+    f = tmp_path / "runs.g6"
+    f.write_text("Bw\nBo\n" + "C?\n" * 5 + "BW\n")
+    for chunk_size in (1, 2, 7):
+        report = run_census(Graph6Source(f), chunk_size=chunk_size)
+        assert (report.order, report.count) == (3, 3)
+        assert report.rejected_disconnected == 5
 
 
 def test_census_empty_source():
@@ -609,7 +738,7 @@ def test_adjacency_stack_past_the_edge_mask_cut(order):
     graphs = [Graph(order, int.from_bytes(rng.bytes(n // 8 + 1), "little")
                     % (1 << n)) for _ in range(6)]
     graphs += [Graph(order, 0), complete(order), path(order)]
-    stack = census._adjacency_stack(graphs)
+    stack = _adjacency_stack(graphs)
     assert stack.shape == (len(graphs), order, order)
     for mat, g in zip(stack, graphs):
         want = np.zeros((order, order))

@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from specgap import graph6
-from specgap.graphs import Graph, complete, from_edges, pair_count
+from specgap.graphs import Graph, _pair_bits, complete, from_edges, pair_count
 
 
 def test_known_encodings():
@@ -161,3 +162,36 @@ def test_arbitrary_text_decodes_or_raises_graph6_error(text):
         return
     assert isinstance(g, Graph)
     assert text.isascii()  # only ASCII text can spell a graph
+
+
+@settings(deadline=None)
+@given(order=st.integers(1, 62), data=st.data())
+def test_decode_block_matches_decode(order, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << pair_count(order)) - 1),
+                               min_size=1, max_size=20))
+    lines = [graph6.encode(Graph(order, b)).encode() + b"\n" for b in masks]
+    m, bits = graph6.decode_block(lines)
+    assert m == order
+    assert np.array_equal(bits, _pair_bits([graph6.decode(x) for x in lines])[1])
+
+
+@pytest.mark.parametrize("odd", [
+    [b"Bw\r\n"], [b"Bw"], [b"\n"], [b" Bw\n"], [b">>graph6<<Bw\n"],
+    [b"Cw\n"],  # another order byte, same width
+    [b"Bx\n"],  # a set padding bit
+    [b"B\x19\n"], [b"B\x7f\n"], [b"Bww\n"], [b"B\n"],
+    [b"Bww\n", b"B\n"],  # two widths that add up to two rows
+    [b"Bww"],  # a last line one byte too long and without its newline
+    [b"~??B\n"],  # the long-form order field
+])
+@pytest.mark.parametrize("at", [0, 3, 4])
+def test_decode_block_leaves_any_other_block_to_decode(odd, at):
+    lines = [b"Bw\n"] * 4
+    lines[at:at] = odd
+    assert graph6.decode_block(lines) is None
+
+
+def test_decode_block_order_zero_and_one():
+    assert graph6.decode_block([b"?\n"]) is None
+    m, bits = graph6.decode_block([b"@\n"] * 3)
+    assert (m, bits.shape) == (1, (3, 0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from specgap import census, eigen
-from specgap.graphs import complete, cycle, path, star
+from specgap.graphs import _adjacency_stack, complete, cycle, path, star
 from specgap.indices import (
     INDEX_NAMES,
     WITNESS_BAND,
@@ -109,7 +109,7 @@ def test_index_rows_of_selected_rows():
 
 def test_one_row_call_matches_the_batch_on_the_order8_census(census8_path):
     graphs = list(census.Graph6Source(census8_path))
-    vals = eigen.spectra_batch(census._adjacency_stack(graphs))
+    vals = eigen.spectra_batch(_adjacency_stack(graphs))
     table = indices_batch(vals)
     fields = ("lambda_max", "lambda_min", "lambda_plus", "lambda_minus",
               "gap", "ind", "pow")
@@ -377,6 +377,20 @@ def test_update_many_witness_callable():
     out = s.finalize()
     assert set(out.min_witnesses) == {"b", "d"}
     assert out.max_witnesses == ("a",)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("labelled", [False, True])
+def test_update_many_rejects_non_finite_values(bad, labelled):
+    s = IndexStats()
+    s.update_many(np.array([3.0, 1.0, 2.0]), ["a", "b", "c"].__getitem__)
+    before = s.finalize()
+    state = (s.count, s.mean, s.m2, s.m3, s.m4)
+    with pytest.raises(ValueError, match="^index values must be finite$"):
+        s.update_many(np.array([0.5, bad, 9.0]),
+                      (lambda i: "x") if labelled else None)
+    assert (s.count, s.mean, s.m2, s.m3, s.m4) == state
+    assert s.finalize() == before
 
 
 @settings(max_examples=60)
