@@ -48,7 +48,7 @@ log = logging.getLogger(__name__)
 
 CANON_MAX_ORDER = 8
 HIST_BIN_WIDTH = 0.1
-SOURCE_BLOCK = 2048  # graphs per connectivity block of Graph6Source
+SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
 
 # connected graphs per order, for reporting and self-checks (OEIS A001349)
 KNOWN_CONNECTED_COUNTS = {

@@ -437,14 +437,23 @@ def test_census_of_a_file_matches_the_census_of_its_graphs(order, data,
     f = d / "f.g6"
     f.write_text("\n".join(lines) + "\n")
     block = data.draw(st.integers(1, 9))
+    payload = census._chunk_payload
     with mock.patch.object(census, "SOURCE_BLOCK", block):
         graphs = list(Graph6Source(f))
         for chunk_size, threads in itertools.product((1, 7, 2048), (1, 2)):
             src = Graph6Source(f)
-            outputs = []
+            outputs, cuts = [], []
             for source in (src, graphs):
-                report = run_census(source, threads=threads,
-                                    chunk_size=chunk_size)
+                cut = []
+                cuts.append(cut)
+
+                def spy(m, bits, zero_tol, cut=cut):
+                    cut.append(len(bits))
+                    return payload(m, bits, zero_tol)
+
+                with mock.patch.object(census, "_chunk_payload", spy):
+                    report = run_census(source, threads=threads,
+                                        chunk_size=chunk_size)
                 out = d / f"{len(outputs)}"
                 out.mkdir(exist_ok=True)
                 write_stats_csv(report, out / "stats.csv")
@@ -452,6 +461,8 @@ def test_census_of_a_file_matches_the_census_of_its_graphs(order, data,
                 outputs.append([open(p, "rb").read()
                                 for p in [out / "stats.csv", *paths]])
             assert outputs[0] == outputs[1]
+            # the same chunk sizes; threads may solve them in any order
+            assert sorted(cuts[0]) == sorted(cuts[1])
             assert src.rejected_disconnected == len(masks) + 1 - len(graphs)
 
 
