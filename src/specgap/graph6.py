@@ -105,8 +105,8 @@ def decode_block(lines: Sequence[bytes]) -> tuple[int, np.ndarray] | None:
     n_bits = pair_count(order)
     n_bytes = (n_bits + 5) // 6
     rows = np.frombuffer(data, np.uint8).reshape(n, width)
-    # the last column all newlines means every line is exactly width long
     payload = rows[:, 1:-1]
+    # a last column of newlines means every line is exactly width long
     if (width != n_bytes + 2 or (rows[:, -1] != 10).any()
             or (rows[:, 0] != data[0]).any()
             or ((payload < 63) | (payload > 126)).any()):
