@@ -160,6 +160,11 @@ _FAILURE_TAGS = [
     ("prop1", "3", [(multipartite, "_SLACK", -1e9)], "1+1+1: bound violated"),
     ("prop1", "3", [(multipartite, "multipartite_bounds_check", _boom)],
      "1+1+1: boom"),
+    ("prop2a", "5", [(multipartite, "_SLACK", -1e9)], "Dk_"),
+    ("bipartite-bound", "5", [(multipartite, "_SLACK", -1e9)], "Dk_"),
+    ("vertex-add", "4", [(multipartite, "_SLACK", -1e9)], "cone:Cs"),
+    ("classical", "5", [(verify, "_is_star", lambda g: False)],
+     "min pow: expected 4.000000 got 4.000000 (witness Ds_)"),
     ("prop2b", "5", [(verify, "_TOL", -1.0)], "max pow 8.0000000000 != 8.0"),
     ("prop2b", "5", [(verify, "_is_complete", lambda g: False)],
      "complete graph missing from witnesses"),
