@@ -14,14 +14,15 @@ The census path is columnar.  Graph6Source reads its file in blocks of
 raw lines and decodes a block of one order byte and width in one numpy
 pass into pair bits (graphs.py), one row per graph; other blocks go line
 by line through graph6.decode, so every error keeps its file:line text.
-Connectivity is decided per block on the pair bits, and run_census
-regroups the connected rows into chunks of exactly chunk_size graphs, cut
-at order changes, eigensolves each chunk in one batch and merges per-chunk
-moment accumulators in chunk order, so a report depends neither on where
-the file's blocks fall nor on the number of threads.  A Graph is built
-only for a witness label, or when a caller iterates the source.  Other
-sources are cut into chunks of Graphs by _blocks, the cutter the verify
-sweeps use, and converted to pair bits chunk by chunk.
+Connectivity is decided per block on the pair bits, and _chunks regroups
+the connected rows into chunks of exactly chunk_size graphs, cut at order
+changes (_blocks makes the same cut of other sources).  run_census
+eigensolves each chunk in one batch and merges per-chunk moment
+accumulators in chunk order, so a report depends neither on where the
+file's blocks fall nor on the number of threads.  A Graph is built only
+for a witness label, or when a caller iterates the source.  The verify
+suites cut the same batches with _chunks, for their bound checks and for
+_census_report.
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ import numpy as np
 
 from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _connected_rows, _pair_bits,
-                     _to_graphs)
+                     _to_graphs, pair_count)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
-from .indices import INDEX_NAMES, IndexStats, indices_batch
+from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
+                      index_table, indices_batch)
 
 log = logging.getLogger(__name__)
 
 CANON_MAX_ORDER = 8
 HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
+CHUNK_SIZE = 2048  # graphs per eigensolved chunk unless a caller says otherwise
 
 # connected graphs per order, for reporting and self-checks (OEIS A001349)
 KNOWN_CONNECTED_COUNTS = {
@@ -271,24 +274,17 @@ class Graph6Source:
                         except graph6.Graph6Error as exc:
                             raise Graph6FileError(
                                 f"{self.path}:{k}: {exc}") from exc
-                    yield from map(_pair_bits, _blocks(graphs, SOURCE_BLOCK))
+                    yield from _blocks(graphs, SOURCE_BLOCK)
                 lineno += len(lines)
 
 
-def _blocks(graphs: Iterable[Graph], size: int) -> Iterator[list[Graph]]:
-    """Consecutive graphs of one order, at most size (>= 1) per block;
-    each is yielded once full, or once the next graph has another order."""
-    block: list[Graph] = []
-    for g in graphs:
-        if block and g.order != block[0].order:
-            yield block
-            block = []
-        block.append(g)
-        if len(block) == size:
-            yield block
-            block = []
-    if block:
-        yield block
+def _blocks(graphs: Iterable[Graph], size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The order and pair bits of blocks of consecutive graphs of one
+    order, at most size (>= 1) per block; each is yielded once full, or
+    once the next graph has another order."""
+    for _, run in itertools.groupby(graphs, lambda g: g.order):
+        while block := list(itertools.islice(run, size)):
+            yield _pair_bits(block)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +325,20 @@ class CensusReport:
 
 def _chunk_payload(m: int, bits: np.ndarray, zero_tol: float | None):
     vals = eigen.spectra_batch(_adjacency(m, bits))
-    per_index = indices_batch(vals, zero_tol)
     witness = functools.cache(
         lambda i: graph6.encode(_to_graphs(m, bits[i:i + 1])[0]))
+    try:
+        per_index = indices_batch(vals, zero_tol)
+    except DegenerateSpectrumError:  # name the graph, not its chunk row
+        row = np.flatnonzero(index_table(vals, zero_tol)["degenerate"])[0]
+        raise DegenerateSpectrumError(f"graph {witness(int(row))}: spectrum "
+                                      "lacks eigenvalues of both signs") from None
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     for name in INDEX_NAMES:
         stats[name].update_many(per_index[name], witness)
         hists[name].update_many(per_index[name])
-    return len(bits), stats, hists
+    return stats, hists
 
 
 def _chunks(batches: Iterable[tuple[int, np.ndarray]], size: int
@@ -345,79 +346,78 @@ def _chunks(batches: Iterable[tuple[int, np.ndarray]], size: int
     """The rows of consecutive batches regrouped into chunks of one order,
     exactly size rows each but the last before an order change or the
     end: the cut _blocks makes of the same graphs."""
-    order, rows = 0, np.zeros((0, 0), np.uint8)
-    for m, bits in batches:
-        if not len(bits):
-            continue
-        if m != order:
-            if len(rows):
-                yield order, rows
-            order, rows = m, bits
-        else:
+    nonempty = (batch for batch in batches if len(batch[1]))
+    for m, run in itertools.groupby(nonempty, lambda batch: batch[0]):
+        rows = np.zeros((0, pair_count(m)), np.uint8)
+        for _, bits in run:
             rows = np.concatenate([rows, bits])
-        while len(rows) >= size:
-            yield m, rows[:size]
-            rows = rows[size:]
-    if len(rows):
-        yield order, rows
+            while len(rows) >= size:
+                yield m, rows[:size]
+                rows = rows[size:]
+        if len(rows):
+            yield m, rows
 
 
 def run_census(source: Iterable[Graph], zero_tol: float | None = None,
-               threads: int = 1, chunk_size: int = 2048) -> CensusReport:
+               threads: int = 1, chunk_size: int = CHUNK_SIZE) -> CensusReport:
     """Stream a single-order graph source into a CensusReport.
 
     The chunks hold chunk_size graphs each, cut at order changes; a
     Graph6Source hands over its pair-bit batches, other sources are
-    converted chunk by chunk.  Chunks are eigensolved in batch; per-chunk
+    converted block by block.  Chunks are eigensolved in batch; per-chunk
     accumulators merge in chunk order, so the report is identical for any
     thread count.
     """
     if min(threads, chunk_size) < 1:
         raise ValueError("threads and chunk_size must be at least 1")
+    if isinstance(source, Graph6Source):
+        chunks = _chunks((batch[:2] for batch in source._batches()), chunk_size)
+    else:
+        chunks = _blocks(source, chunk_size)
+    report = _census_report(chunks, zero_tol, threads)
+    report.rejected_disconnected = getattr(source, "rejected_disconnected", 0)
+    return report
+
+
+def _census_report(chunks: Iterable[tuple[int, np.ndarray]],
+                   zero_tol: float | None = None, threads: int = 1) -> CensusReport:
+    """The CensusReport of the order and pair bits of one order's chunks."""
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
-    count = 0
     order = 0
 
     def merge(chunk_result) -> None:
-        nonlocal count
-        n, st, hs = chunk_result
-        count += n
+        st, hs = chunk_result
         for name in INDEX_NAMES:
             stats[name].absorb(st[name])
             hists[name].absorb(hs[name])
 
-    if isinstance(source, Graph6Source):
-        cut = _chunks((batch[:2] for batch in source._batches()), chunk_size)
-    else:
-        cut = map(_pair_bits, _blocks(source, chunk_size))
-
-    def chunks() -> Iterator[tuple[int, np.ndarray]]:
+    def checked() -> Iterator[tuple[int, np.ndarray]]:
         nonlocal order
-        for m, bits in cut:
+        for m, bits in chunks:
             if order and m != order:
                 raise MixedOrdersError(f"census mixes orders {order} and {m}")
             order = m
             yield m, bits
 
     if threads == 1:
-        for chunk in chunks():
+        for chunk in checked():
             merge(_chunk_payload(*chunk, zero_tol))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             window: deque = deque()
-            for chunk in chunks():
+            for chunk in checked():
                 window.append(pool.submit(_chunk_payload, *chunk, zero_tol))
                 if len(window) >= threads + 2:
                     merge(window.popleft().result())
             while window:
                 merge(window.popleft().result())
 
+    count = stats[INDEX_NAMES[0]].count
     if count == 0:
         raise EmptySourceError("census source yielded no graphs")
-    rejected = getattr(source, "rejected_disconnected", 0)
     return CensusReport(order=order, count=count, stats=stats,
-                        histograms=hists, rejected_disconnected=rejected)
+                        histograms=hists)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", default=None, help="graph6 file to read instead")
     p.add_argument("--out", default=".", help="directory for CSV output")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--chunk-size", type=int, default=2048)
+    p.add_argument("--chunk-size", type=int, default=census.CHUNK_SIZE)
     p.add_argument("--zero-tol", type=float, default=None)
     p.set_defaults(fn=_cmd_census)
 

@@ -7,14 +7,14 @@ numbered column-major over the strict upper triangle, i.e. (0,1), (0,2),
 serialization and lets a vertex-relabeling act as a pure bit permutation.
 
 A batch of same-order graphs travels as its order and its pair-bit
-matrix, one 0/1 row per graph in bitset order: _pair_bits builds it from
-a list of graphs (the one check that such a list is non-empty and of one
-order), graph6.decode_block straight from file lines.  Every array of a
-batch is scattered from its pair bits here: adjacency stacks and
-per-vertex neighbor masks (uint64 up to 64 vertices, Python ints beyond).
-The structure tests come in batch forms on those masks: _connected,
-bipartite_batch and complete_multipartite_batch, whose one-graph calls are
-bipartition and detect_complete_multipartite.
+matrix, one 0/1 row per graph in bitset order: graph6.decode_block builds
+it from file lines, _pair_bits from a list of graphs (the one check that
+such a list is non-empty and of one order).  Every array of a batch is
+scattered from its pair bits here: adjacency stacks and per-vertex
+neighbor masks (uint64 up to 64 vertices, Python ints beyond).  The
+structure tests run on those masks (_connected_rows, _bipartite_rows,
+_multipartite_rows); bipartite_batch and complete_multipartite_batch are
+their forms on lists of graphs.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix (float64)."""
-        return _adjacency_stack([self])[0]
+        return _adjacency(*_pair_bits([self]))[0]
 
     def complement(self) -> "Graph":
         return Graph(self.order, ~self.bits & ((1 << pair_count(self.order)) - 1))
@@ -257,11 +257,6 @@ def _adjacency(m: int, bits: np.ndarray, dtype=float,
     return mats
 
 
-def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """The (n, m, m) float adjacency matrices of same-order graphs."""
-    return _adjacency(*_pair_bits(graphs))
-
-
 def _neighbors(m: int, bits: np.ndarray) -> list[np.ndarray]:
     """For each vertex v, v's neighbor mask in every graph of a batch, as
     uint64 up to 64 vertices and Python ints beyond: the adjacency rows,
@@ -303,27 +298,32 @@ def _connected_rows(m: int, bits: np.ndarray) -> np.ndarray:
     return _bfs(_neighbors(m, bits))[0] == (1 << m) - 1
 
 
-def _connected(graphs: Sequence[Graph]) -> np.ndarray:
-    """Which of a batch of same-order graphs are connected."""
-    return _connected_rows(*_pair_bits(graphs))
-
-
 def bipartite_batch(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
     """Which of a batch of same-order graphs are connected and bipartite,
     and the mask of each one's vertices at even distance from vertex 0."""
-    nb = _neighbors(*_pair_bits(graphs))
-    reached, even, clash = _bfs(nb)
-    return (reached == (1 << len(nb)) - 1) & ~clash, even
+    return _bipartite_rows(*_pair_bits(graphs))
+
+
+def _bipartite_rows(m: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bipartite_batch of a batch's order and pair bits."""
+    reached, even, clash = _bfs(_neighbors(m, bits))
+    return (reached == (1 << m) - 1) & ~clash, even
 
 
 def complete_multipartite_batch(graphs: Sequence[Graph]) -> np.ndarray:
     """Which of a batch of same-order graphs are complete multipartite
-    with at least two parts: those with an edge in which every two
-    non-adjacent vertices have the same neighbors (non-adjacency is then an
-    equivalence relation, and its classes are the parts)."""
-    nb = _neighbors(*_pair_bits(graphs))
+    with at least two parts."""
+    return _multipartite_rows(*_pair_bits(graphs))
+
+
+def _multipartite_rows(m: int, bits: np.ndarray) -> np.ndarray:
+    """complete_multipartite_batch of a batch's order and pair bits: the
+    graphs with an edge in which every two non-adjacent vertices have the
+    same neighbors (non-adjacency is then an equivalence relation, and its
+    classes are the parts)."""
+    nb = _neighbors(m, bits)
     ok = np.logical_or.reduce([x != 0 for x in nb])
-    for v in range(1, len(nb)):
+    for v in range(1, m):
         for u in range(v):
             ok &= (((nb[u] >> v) & 1) != 0) | (nb[u] == nb[v])
     return ok

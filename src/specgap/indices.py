@@ -103,12 +103,17 @@ def index_rows(table: dict[str, np.ndarray], rows: np.ndarray | None = None
     compute_indices gives them; a degenerate row raises."""
     if rows is not None:
         table = {name: column[rows] for name, column in table.items()}
+    _require_signs(table)
+    return [SpectralIndices(*row)
+            for row in zip(*(table[name].tolist() for name in _FIELDS))]
+
+
+def _require_signs(table: dict[str, np.ndarray]) -> None:
+    """DegenerateSpectrumError if a row of an index_table is degenerate."""
     if table["degenerate"].any():
         raise DegenerateSpectrumError(
             "spectrum has no eigenvalues of both signs beyond tolerance"
         )
-    return [SpectralIndices(*row)
-            for row in zip(*(table[name].tolist() for name in _FIELDS))]
 
 
 def indices_batch(vals_desc: np.ndarray, zero_tol: float | None = None

@@ -15,28 +15,32 @@ perturbation, density and vertex-addition results built on top of them.
 
 The census bound checks (the gap/ind bounds for graphs that are not
 complete multipartite, the bipartite gap bound, and the cone and pendant
-vertex additions) each come in a batch form over a list of same-order
-graphs.  A batch decides its premise for every graph at once, on neighbor
-masks; the spectra come from one batched eigensolve and the indices from
-one index_table; the cone and pendant matrices are its adjacency stack
-grown by one row and column.  For each graph it returns the report or the
-NotApplicableError that the graph raises.  The one-graph function of the
-same name is its one-graph case.
+vertex additions) each run on the order and pair bits of a batch of
+graphs (graphs.py): premises on neighbor masks, spectra from one batched
+eigensolve, cone and pendant matrices scattered from the pair bits grown
+by the new vertex's pairs.  Each gives columns: per graph whether it
+applies and holds, and report fields, from which the exported batch form
+builds each graph's report or NotApplicableError.  The one-graph function
+of the same name is its one-graph case.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import eigen
-from .graphs import (Graph, _adjacency_stack, bipartite_batch,
-                     complete_multipartite_batch)
+from .graphs import (Graph, _adjacency, _bipartite_rows, _multipartite_rows,
+                     _pair_bits)
 from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
-from .indices import SpectralIndices, compute_indices, index_rows, index_table
+from .indices import (SpectralIndices, _require_signs, compute_indices,
+                      index_rows, index_table)
 
 # constants of the connected-graph count approximation (anchored at order 9)
 APPROX_ANCHOR_COUNT = 261080.0
@@ -367,33 +371,43 @@ def kmm_plus_e_spectrum(m: int) -> AnalyticSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# batches of census graphs
+# census bounds on pair-bit batches
+#
+# Each census bound has one function on a batch's order and pair bits.
+# Per graph, it gives why the bound does not apply (its NotApplicableError
+# message, "" where it applies) and whether it holds (False where it does
+# not apply); then the report fields of the graphs it applies to, in batch
+# order: arrays, constants, or an index_table for the SpectralIndices.
+# Every report's holds uses operators only, so _columns runs it on arrays.
 
-def _one(outcomes: list) -> Any:
-    """The report of a one-graph batch; its NotApplicableError is raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, NotApplicableError):
-        raise outcome
-    return outcome
+
+def _spectra(m: int, bits: np.ndarray) -> np.ndarray:
+    """Descending spectra of a batch; no eigensolve for no graphs."""
+    if not len(bits):
+        return np.zeros((0, m))
+    return eigen.spectra_batch(_adjacency(m, bits))
 
 
-def _premised(graphs: Sequence[Graph],
-              premise: Callable[[Sequence[Graph]], list],
-              reports: Callable[[Sequence[Graph], np.ndarray], list]) -> list:
-    """Each graph's outcome: the NotApplicableError of its premise (None
-    where it holds), else its report from reports, which gets the graphs
-    that meet it and their spectra from one batched eigensolve, none when
-    no graph does."""
+def _columns(why: np.ndarray, report: type, **fields: Any) -> tuple:
+    """A bound's columns from why it does not apply and its report fields."""
+    holds = np.zeros(len(why), bool)
+    holds[why == ""] = report.holds.fget(SimpleNamespace(**fields))
+    return why, holds, fields
+
+
+def _batch(graphs: Sequence[Graph], columns: Callable[..., tuple],
+           report: type) -> list:
+    """A census bound on each of same-order graphs: its report where it
+    applies, else the NotApplicableError of the premise the graph is off."""
     if not graphs:
         return []
-    outcomes = premise(graphs)
-    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if todo:
-        chosen = [graphs[i] for i in todo]
-        vals = eigen.spectra_batch(_adjacency_stack(chosen))
-        for i, outcome in zip(todo, reports(chosen, vals)):
-            outcomes[i] = outcome
-    return outcomes
+    why, _, fields = columns(*_pair_bits(graphs))
+    values = (index_rows(v) if isinstance(v, dict)
+              else v.tolist() if isinstance(v, np.ndarray)
+              else itertools.repeat(v)
+              for v in (fields[f.name] for f in dataclasses.fields(report)))
+    reports = itertools.starmap(report, zip(*values))
+    return [NotApplicableError(w) if w else next(reports) for w in why.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -458,49 +472,44 @@ class NonMultipartiteBoundsReport:
 
     @property
     def holds(self) -> bool:
-        return self.premise_ok and self.gap_ok and self.ind_ok
+        # & rather than and, so that the rule also reads arrays (_columns)
+        return self.premise_ok & self.gap_ok & self.ind_ok
 
 
 def nonmultipartite_bounds_check(g: Graph) -> NonMultipartiteBoundsReport:
-    return _one(nonmultipartite_bounds_batch([g]))
+    [outcome] = nonmultipartite_bounds_batch([g])
+    if isinstance(outcome, NotApplicableError):
+        raise outcome
+    return outcome
 
 
 def nonmultipartite_bounds_batch(graphs: Sequence[Graph]
                                  ) -> list[NonMultipartiteBoundsReport
                                            | NotApplicableError]:
     """nonmultipartite_bounds_check on each of same-order graphs."""
-    return _premised(graphs, _nonmultipartite_premise, _nonmultipartite_reports)
+    return _batch(graphs, _nonmultipartite_columns, NonMultipartiteBoundsReport)
 
 
-def _nonmultipartite_premise(graphs: Sequence[Graph]) -> list:
-    return [NotApplicableError("graph is complete multipartite") if multi
-            else None for multi in complete_multipartite_batch(graphs).tolist()]
-
-
-def _nonmultipartite_reports(graphs: Sequence[Graph], vals: np.ndarray
-                             ) -> list[NonMultipartiteBoundsReport]:
-    m = graphs[0].order
+def _nonmultipartite_columns(m: int, bits: np.ndarray) -> tuple:
+    why = np.full(len(bits), "", object)
+    why[_multipartite_rows(m, bits)] = "graph is complete multipartite"
+    vals = _spectra(m, bits[why == ""])
+    table = index_table(vals)
+    _require_signs(table)
     if m % 2 == 0:
         gap_bound, ind_bound = m - 1.0, m / 2.0
     else:
         gap_bound, ind_bound = m - 1.5, math.sqrt(m * m - 1.0) / 2.0
     lambda2_bound = m // 2 - 1.0
-    indices = index_rows(index_table(vals))
-    return [
-        NonMultipartiteBoundsReport(
-            order=m,
-            idx=idx,
-            lambda2=lambda2,
-            gap_bound=gap_bound,
-            ind_bound=ind_bound,
-            lambda2_bound=lambda2_bound,
-            premise_ok=(0.0 < idx.lambda_plus <= lambda2 + _SLACK
-                        and lambda2 <= lambda2_bound + _SLACK),
-            gap_ok=idx.gap <= gap_bound + _SLACK,
-            ind_ok=idx.ind <= ind_bound + _SLACK,
-        )
-        for idx, lambda2 in zip(indices, vals[:, 1].tolist())
-    ]
+    lambda_plus, lambda2 = table["lambda_plus"], vals[:, 1]
+    return _columns(
+        why, NonMultipartiteBoundsReport, order=m, idx=table, lambda2=lambda2,
+        gap_bound=gap_bound, ind_bound=ind_bound, lambda2_bound=lambda2_bound,
+        premise_ok=((0.0 < lambda_plus) & (lambda_plus <= lambda2 + _SLACK)
+                    & (lambda2 <= lambda2_bound + _SLACK)),
+        gap_ok=table["gap"] <= gap_bound + _SLACK,
+        ind_ok=table["ind"] <= ind_bound + _SLACK,
+    )
 
 
 @dataclass(frozen=True)
@@ -520,46 +529,38 @@ class BipartiteBoundReport:
 
 def bipartite_gap_bound(g: Graph) -> BipartiteBoundReport:
     """2 sqrt(d (m - 2d) / (m - k - 2)) check; d avg degree, k the nullity."""
-    return _one(bipartite_gap_bound_batch([g]))
+    [outcome] = bipartite_gap_bound_batch([g])
+    if isinstance(outcome, NotApplicableError):
+        raise outcome
+    return outcome
 
 
 def bipartite_gap_bound_batch(graphs: Sequence[Graph]
                               ) -> list[BipartiteBoundReport
                                         | NotApplicableError]:
     """bipartite_gap_bound on each of same-order graphs."""
-
-    def reports(graphs: Sequence[Graph], vals: np.ndarray
-                ) -> list[BipartiteBoundReport | NotApplicableError]:
-        m = graphs[0].order
-        table = index_table(vals)
-        indices = iter(index_rows(table, m - table["nullity"] - 2 > 0))
-        out: list[BipartiteBoundReport | NotApplicableError] = []
-        for g, k in zip(graphs, table["nullity"].tolist()):
-            if m - k - 2 <= 0:
-                out.append(NotApplicableError(
-                    "zero multiplicity too large for the bound"))
-                continue
-            d = 2.0 * g.edge_count / m
-            gap = next(indices).gap
-            bound = 2.0 * math.sqrt(d * (m - 2.0 * d) / (m - k - 2.0))
-            out.append(BipartiteBoundReport(
-                order=m, avg_degree=d, nullity=k, gap=gap, bound=bound
-            ))
-        return out
-
-    return _premised(graphs, _bipartite_premise, reports)
+    return _batch(graphs, _bipartite_columns, BipartiteBoundReport)
 
 
-def _bipartite_premise(graphs: Sequence[Graph]) -> list:
+def _bipartite_columns(m: int, bits: np.ndarray) -> tuple:
     # a connected bipartite graph with sides of a and m - a vertices is
     # complete bipartite when it has a (m - a) > 0 edges
-    m = graphs[0].order
-    bipartite, even = bipartite_batch(graphs)
-    return [NotApplicableError("graph is not bipartite") if not bip
-            else NotApplicableError("graph is complete bipartite")
-            if 0 < g.edge_count == side.bit_count() * (m - side.bit_count())
-            else None
-            for g, bip, side in zip(graphs, bipartite.tolist(), even.tolist())]
+    bipartite, even = _bipartite_rows(m, bits)
+    edges = bits.sum(axis=1)
+    side = sum((even >> v) & 1 for v in range(m))
+    why = np.full(len(bits), "", object)
+    why[(0 < edges) & (edges == side * (m - side))] = "graph is complete bipartite"
+    why[~bipartite] = "graph is not bipartite"
+    rows = np.flatnonzero(why == "")
+    table = index_table(_spectra(m, bits[rows]))
+    fits = m - table["nullity"] - 2 > 0
+    why[rows[~fits]] = "zero multiplicity too large for the bound"
+    k, d = table["nullity"][fits], 2.0 * edges[rows[fits]] / m
+    return _columns(
+        why, BipartiteBoundReport, order=m, avg_degree=d, nullity=k,
+        gap=table["gap"][fits],
+        bound=2.0 * np.sqrt(d * (m - 2.0 * d) / (m - k - 2.0)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,23 +642,18 @@ def cone_lambda_max_bound(g: Graph) -> ConeReport:
 def cone_lambda_max_bound_batch(graphs: Sequence[Graph]) -> list[ConeReport]:
     """cone_lambda_max_bound on each of same-order graphs: one batched
     eigensolve for the graphs, one for their cones."""
-    if not graphs:
-        return []
-    m = graphs[0].order
-    mats = _adjacency_stack(graphs)
-    cones = np.zeros((len(graphs), m + 1, m + 1))
-    cones[:, :m, :m] = mats
-    cones[:, m, :m] = cones[:, :m, m] = 1.0
-    lams = eigen.spectra_batch(mats)[:, 0].tolist()
-    new_lams = eigen.spectra_batch(cones)[:, 0].tolist()
-    return [
-        ConeReport(
-            base_value=lam,
-            new_value=new_lam,
-            bound=(lam + math.sqrt(lam * lam + 4.0)) / 2.0,
-        )
-        for lam, new_lam in zip(lams, new_lams)
-    ]
+    return _batch(graphs, _cone_columns, ConeReport)
+
+
+def _cone_columns(m: int, bits: np.ndarray) -> tuple:
+    # the new vertex m is joined to all; its pairs (i, m) come last
+    cones = np.hstack([bits, np.ones((len(bits), m), np.uint8)])
+    lam = eigen.spectra_batch(_adjacency(m, bits))[:, 0]
+    return _columns(
+        np.full(len(bits), "", object), ConeReport, base_value=lam,
+        new_value=eigen.spectra_batch(_adjacency(m + 1, cones))[:, 0],
+        bound=(lam + np.sqrt(lam * lam + 4.0)) / 2.0,
+    )
 
 
 def pendant_lambda_min_bound(g: Graph) -> PendantReport:
@@ -671,31 +667,25 @@ def pendant_lambda_min_bound_batch(graphs: Sequence[Graph]
                                    ) -> list[PendantReport]:
     """pendant_lambda_min_bound on each of same-order graphs: one batched
     eigensystem for the graphs, one eigensolve for their pendants."""
-    if not graphs:
-        return []
-    m = graphs[0].order
-    mats = _adjacency_stack(graphs)
-    vals, vecs = eigen.eigensystems_batch(mats)
+    return _batch(graphs, _pendant_columns, PendantReport)
+
+
+def _pendant_columns(m: int, bits: np.ndarray) -> tuple:
+    vals, vecs = eigen.eigensystems_batch(_adjacency(m, bits))
     weights = np.abs(vecs[:, :, -1])
     if not weights.max(axis=1).all():
         raise DegenerateEigenvectorError("lambda_min eigenvector is zero")
     # argmax takes the lowest index on ties
     attach = np.argmax(weights, axis=1)
-    pendants = np.zeros((len(graphs), m + 1, m + 1))
-    pendants[:, :m, :m] = mats
-    rows = np.arange(len(graphs))
-    pendants[rows, attach, m] = pendants[rows, m, attach] = 1.0
-    new_lams = eigen.spectra_batch(pendants)[:, -1].tolist()
-    return [
-        PendantReport(
-            base_value=lam,
-            new_value=new_lam,
-            bound=(lam - math.sqrt(lam * lam + 4.0 / m)) / 2.0,
-            attach_vertex=i0,
-        )
-        for lam, new_lam, i0
-        in zip(vals[:, -1].tolist(), new_lams, attach.tolist())
-    ]
+    # the pendant's one edge is the pair (attach, m), after the graph's pairs
+    pendants = np.hstack([bits, np.eye(m, dtype=np.uint8)[attach]])
+    lam = vals[:, -1]
+    return _columns(
+        np.full(len(bits), "", object), PendantReport, base_value=lam,
+        new_value=eigen.spectra_batch(_adjacency(m + 1, pendants))[:, -1],
+        bound=(lam - np.sqrt(lam * lam + 4.0 / m)) / 2.0,
+        attach_vertex=attach,
+    )
 
 
 # ---------------------------------------------------------------------------

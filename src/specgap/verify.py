@@ -8,24 +8,28 @@ graph is the subject, otherwise a readable parameter tag).  The census
 suites, the classical extremes among them, read one census of the requested
 order; run_check turns a suite's tally into a named SuiteResult.
 
-The census bound suites (prop2a, bipartite-bound, vertex-add) cut their
-census into blocks of SWEEP_BLOCK graphs with census._blocks and run the
-batch form of each bound once per block, with its premises decided on the
-block's neighbor masks and one batched eigensolve per kind of matrix.  The
-power maximum and the classical extremes each come from one run_census.
+The census suites read order-checked pair-bit batches (graphs.py) of a
+graph6 file or of the built-in enumeration.  The bound suites (prop2a,
+bipartite-bound, vertex-add) cut them into blocks of SWEEP_BLOCK graphs
+and run each bound's pair-bit form once per block, which gives masks of
+the graphs it applies to and holds for; only a failing graph becomes a
+graph6 string.  The power maximum and the classical extremes each come
+from one census._census_report of the same batches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import census, eigen, graph6, multipartite
 from .graphs import (
     Graph,
+    _pair_bits,
+    _to_graphs,
     complete_multipartite,
     detect_complete_multipartite,
     is_connected,
@@ -77,46 +81,42 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
     yield from rec(total, 1, ())
 
 
-def _census_graphs(order: int, path: str | None) -> Iterator[Graph]:
-    """The census a suite sweeps: the graphs of the graph6 file at ``path``,
-    else the built-in enumeration of ``order``.  A file graph of another
-    order raises MixedOrdersError."""
+def _census_batches(order: int, path: str | None) -> Iterator[tuple[int, np.ndarray]]:
+    """The census a suite sweeps, as the order and pair bits of batches:
+    the connected graphs of each block of the graph6 file at ``path``, else
+    the built-in enumeration of ``order``.  A file graph of another order
+    raises MixedOrdersError."""
     if path is None:
-        yield from census.enumerate_connected(order)
+        yield _pair_bits(census.enumerate_connected(order))
         return
-    source = census.Graph6Source(path)
-    for g in source:
-        if g.order != order:
-            raise census.MixedOrdersError(
-                f"{path}: graph {source.read} has order {g.order}, "
-                f"not the requested {order}"
-            )
-        yield g
+    for m, bits, reads in census.Graph6Source(path)._batches():
+        if len(bits) and m != order:
+            raise census.MixedOrdersError(f"{path}: graph {reads[0]} has "
+                                          f"order {m}, not the requested {order}")
+        yield m, bits
 
 
 def _sweep(order: int, path: str | None,
-           *bounds: tuple[str, Callable[[Sequence[Graph]], list]]) -> Tally:
-    """Every (tag prefix, batched bound check) pair on every census graph.
+           *bounds: tuple[str, Callable[[int, np.ndarray], tuple]]) -> Tally:
+    """Every (tag prefix, bound) pair on every census graph.
 
-    The census is read in blocks of SWEEP_BLOCK graphs, and each check runs
-    once per block.  For each graph it gives a report with ``holds``, or
-    the NotApplicableError of a graph outside its premise, which skips the
-    graph.  Each report that does not hold adds the prefix plus the graph6
-    string, in census order and, per graph, in the order of ``bounds``.
+    The census is cut into blocks of SWEEP_BLOCK graphs, and each bound
+    runs once per block on its order and pair bits.  A graph that some
+    bound does not apply to is skipped; each bound that a checked graph
+    fails adds the prefix plus its graph6 string, in census order and, per
+    graph, in the order of ``bounds``.
     """
     failures: list[str] = []
     checked = skipped = 0
-    for block in census._blocks(_census_graphs(order, path), SWEEP_BLOCK):
-        outcomes = zip(*(bound(block) for _, bound in bounds))
-        for g, reports in zip(block, outcomes):
-            if any(isinstance(r, multipartite.NotApplicableError)
-                   for r in reports):
-                skipped += 1
-                continue
-            checked += 1
-            failures.extend(tag + graph6.encode(g)
-                            for (tag, _), r in zip(bounds, reports)
-                            if not r.holds)
+    for m, bits in census._chunks(_census_batches(order, path), SWEEP_BLOCK):
+        columns = [bound(m, bits) for _, bound in bounds]
+        ok = np.logical_and.reduce([why == "" for why, _, _ in columns])
+        checked += int(ok.sum())
+        skipped += len(bits) - int(ok.sum())
+        rows, fail = np.nonzero(np.column_stack(
+            [ok & ~holds for _, holds, _ in columns]))
+        failures += [bounds[k][0] + graph6.encode(g)
+                     for g, k in zip(_to_graphs(m, bits[rows]), fail.tolist())]
     return checked, skipped, tuple(failures)
 
 
@@ -147,7 +147,7 @@ def check_multipartite_bounds(order: int) -> Tally:
 
 def check_nonmultipartite_bounds(order: int, path: str | None = None) -> Tally:
     """Census sweep of the gap/ind bounds for non complete multipartite graphs."""
-    return _sweep(order, path, ("", multipartite.nonmultipartite_bounds_batch))
+    return _sweep(order, path, ("", multipartite._nonmultipartite_columns))
 
 
 # the two order-7 maximizers of the power index and their exact spectra
@@ -163,15 +163,17 @@ def check_power_maximum(order: int, path: str | None = None) -> Tally:
     if order > 7:
         raise ValueError("the power-maximum statement covers orders <= 7")
     failures = []
-    result = census.extremal(_census_graphs(order, path), "pow", "max")
+    report = census._census_report(
+        census._chunks(_census_batches(order, path), census.CHUNK_SIZE))
+    value, labels, overflow = report.stats["pow"].finalize().extreme("max")
     expected = 2.0 * (order - 1)
-    if abs(result.value - expected) > _TOL:
-        failures.append(f"max pow {result.value:.10f} != {expected}")
-    witnesses = [graph6.decode(w) for w in result.witnesses]
+    if abs(value - expected) > _TOL:
+        failures.append(f"max pow {value:.10f} != {expected}")
+    witnesses = [graph6.decode(w) for w in labels]
     if not any(_is_complete(g) for g in witnesses):
         failures.append("complete graph missing from witnesses")
     if order == 7:
-        if len(witnesses) != 2 or result.overflow:
+        if len(witnesses) != 2 or overflow:
             failures.append(f"expected 2 witnesses, got {len(witnesses)}")
         else:
             spectra = sorted(
@@ -182,7 +184,7 @@ def check_power_maximum(order: int, path: str | None = None) -> Tally:
                     failures.append(f"unexpected witness spectrum {got}")
     elif len(witnesses) != 1:
         failures.append(f"expected a unique witness, got {len(witnesses)}")
-    return result.count, 0, tuple(failures)
+    return report.count, 0, tuple(failures)
 
 
 def check_minus_edge_family(max_part: int = 50) -> Tally:
@@ -215,7 +217,7 @@ def _edge_family(max_part: int, closed_form: Callable, build: Callable,
 
 def check_bipartite_bound(order: int, path: str | None = None) -> Tally:
     """Census sweep of the gap bound for bipartite, non complete bipartite graphs."""
-    return _sweep(order, path, ("", multipartite.bipartite_gap_bound_batch))
+    return _sweep(order, path, ("", multipartite._bipartite_columns))
 
 
 # witnesses the classical extremes name
@@ -248,7 +250,8 @@ def check_classical(order: int, path: str | None = None) -> Tally:
     when the witness is wrong or not unique.  ``checked`` counts the checks.
     """
     m = order
-    stats = census.run_census(_census_graphs(m, path)).stats
+    stats = census._census_report(
+        census._chunks(_census_batches(m, path), census.CHUNK_SIZE)).stats
     specs = (
         ("max lambda_max", "lambda_max", "max", float(m - 1), _is_complete),
         ("min lambda_max", "lambda_max", "min",
@@ -273,8 +276,8 @@ def check_classical(order: int, path: str | None = None) -> Tally:
 def check_vertex_addition(order: int, path: str | None = None) -> Tally:
     """Cone and pendant eigenvalue bounds on every census graph."""
     return _sweep(order, path,
-                  ("cone:", multipartite.cone_lambda_max_bound_batch),
-                  ("pendant:", multipartite.pendant_lambda_min_bound_batch))
+                  ("cone:", multipartite._cone_columns),
+                  ("pendant:", multipartite._pendant_columns))
 
 
 # suite name -> (suite function, whether it sweeps a census)

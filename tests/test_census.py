@@ -31,8 +31,10 @@ from specgap.census import (
 )
 from specgap.graphs import (
     Graph,
-    _adjacency_stack,
-    _connected,
+    _adjacency,
+    _connected_rows,
+    _pair_bits,
+    _to_graphs,
     complete,
     complete_multipartite,
     cycle,
@@ -484,14 +486,14 @@ def test_block_connectivity_matches_is_connected(order, data):
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                max_size=40))
     graphs = [Graph(order, b) for b in masks]
-    got = _connected(graphs)
+    got = _connected_rows(*_pair_bits(graphs))
     assert got.tolist() == [is_connected(g) for g in graphs]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_block_connectivity_exhaustive_small_orders(order):
     graphs = [Graph(order, b) for b in range(1 << pair_count(order))]
-    got = _connected(graphs)
+    got = _connected_rows(*_pair_bits(graphs))
     assert got.tolist() == [is_connected(g) for g in graphs]
 
 
@@ -597,19 +599,21 @@ def test_blocks_cut_at_order_changes_and_every_size_graphs():
             pulled.append(g)
             yield g
 
+    def blocks(graphs, size):
+        return (_to_graphs(*block) for block in census._blocks(graphs, size))
+
     graphs = [path(3)] * 5 + [path(4)] * 2 + [path(3)]
-    blocks = census._blocks(stream(graphs), 2)
+    cut = blocks(stream(graphs), 2)
     # a full block comes out before the next graph is pulled
-    assert next(blocks) == [path(3)] * 2 and len(pulled) == 2
-    assert next(blocks) == [path(3)] * 2 and len(pulled) == 4
+    assert next(cut) == [path(3)] * 2 and len(pulled) == 2
+    assert next(cut) == [path(3)] * 2 and len(pulled) == 4
     # a partial block comes out once the next graph has another order
-    assert next(blocks) == [path(3)] and len(pulled) == 6
-    assert list(blocks) == [[path(4)] * 2, [path(3)]]
+    assert next(cut) == [path(3)] and len(pulled) == 6
+    assert list(cut) == [[path(4)] * 2, [path(3)]]
     assert len(pulled) == len(graphs)
-    assert list(census._blocks(iter([]), 3)) == []
-    assert list(census._blocks(graphs, 1)) == [[g] for g in graphs]
-    assert list(census._blocks(graphs, 100)) == [graphs[:5], graphs[5:7],
-                                                 graphs[7:]]
+    assert list(blocks(iter([]), 3)) == []
+    assert list(blocks(graphs, 1)) == [[g] for g in graphs]
+    assert list(blocks(graphs, 100)) == [graphs[:5], graphs[5:7], graphs[7:]]
 
 
 def test_census_skips_a_disconnected_run_of_another_order(tmp_path):
@@ -749,7 +753,7 @@ def test_adjacency_stack_past_the_edge_mask_cut(order):
     graphs = [Graph(order, int.from_bytes(rng.bytes(n // 8 + 1), "little")
                     % (1 << n)) for _ in range(6)]
     graphs += [Graph(order, 0), complete(order), path(order)]
-    stack = _adjacency_stack(graphs)
+    stack = _adjacency(*_pair_bits(graphs))
     assert stack.shape == (len(graphs), order, order)
     for mat, g in zip(stack, graphs):
         want = np.zeros((order, order))

@@ -128,6 +128,24 @@ def test_extremal_names_the_witnesses_past_the_cap(capsys, tmp_path):
     assert lines[-1] == "witness_overflow 4"
 
 
+def test_degenerate_census_error_names_the_graph(capsys, tmp_path,
+                                                 census8_path):
+    # at zero tolerance 1.2 only K8 (spectrum 7, -1 x7) lacks a negative
+    # eigenvalue; the error names it whatever the chunking and threads
+    for chunk_size, threads in ((100, 1), (2048, 1), (100, 2), (2048, 2)):
+        code, out, err = run(capsys, "census", "--file", census8_path,
+                             "--zero-tol", "1.2", "--out", str(tmp_path),
+                             "--chunk-size", str(chunk_size),
+                             "--threads", str(threads))
+        assert (code, out) == (2, "")
+        assert err == ("error: graph G~~~~{: spectrum lacks eigenvalues of "
+                       "both signs\n")
+    code, out, err = run(capsys, "extremal", "--file", census8_path,
+                         "--zero-tol", "1.2", "--index", "gap", "--dir", "min")
+    assert (code, out) == (2, "")
+    assert err == "error: graph G~~~~{: spectrum lacks eigenvalues of both signs\n"
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "--check", "prop1", "--order", "5")
     assert code == 0
@@ -160,11 +178,6 @@ _FAILURE_TAGS = [
     ("prop1", "3", [(multipartite, "_SLACK", -1e9)], "1+1+1: bound violated"),
     ("prop1", "3", [(multipartite, "multipartite_bounds_check", _boom)],
      "1+1+1: boom"),
-    ("prop2a", "5", [(multipartite, "_SLACK", -1e9)], "Dk_"),
-    ("bipartite-bound", "5", [(multipartite, "_SLACK", -1e9)], "Dk_"),
-    ("vertex-add", "4", [(multipartite, "_SLACK", -1e9)], "cone:Cs"),
-    ("classical", "5", [(verify, "_is_star", lambda g: False)],
-     "min pow: expected 4.000000 got 4.000000 (witness Ds_)"),
     ("prop2b", "5", [(verify, "_TOL", -1.0)], "max pow 8.0000000000 != 8.0"),
     ("prop2b", "5", [(verify, "_is_complete", lambda g: False)],
      "complete graph missing from witnesses"),
@@ -178,6 +191,11 @@ _FAILURE_TAGS = [
     ("prop4", "4", [(verify, "compute_indices",
                      lambda vals: SimpleNamespace(lambda_minus=0.0))],
      "m=3: lambda_minus 0.0 != -1"),
+    ("prop2a", "5", [(multipartite, "_SLACK", -1e9)], "Dk_"),
+    ("bipartite-bound", "5", [(multipartite, "_SLACK", -1e9)], "Dk_"),
+    ("vertex-add", "4", [(multipartite, "_SLACK", -1e9)], "cone:Cs"),
+    ("classical", "5", [(verify, "_is_star", lambda g: False)],
+     "min pow: expected 4.000000 got 4.000000 (witness Ds_)"),
 ]
 
 

@@ -310,7 +310,7 @@ def test_structure_at_order_100():
 
 @pytest.mark.parametrize("build", [graphs.bipartite_batch,
                                    graphs.complete_multipartite_batch,
-                                   graphs._adjacency_stack, graphs._connected])
+                                   graphs._pair_bits])
 def test_batch_builders_reject_mixed_orders_and_no_graphs(build):
     with pytest.raises(ValueError, match="one order"):
         build([path(3), cycle(5)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from specgap import census, eigen
-from specgap.graphs import _adjacency_stack, complete, cycle, path, star
+from specgap.graphs import _adjacency, _pair_bits, complete, cycle, path, star
 from specgap.indices import (
     INDEX_NAMES,
     WITNESS_BAND,
@@ -109,7 +109,7 @@ def test_index_rows_of_selected_rows():
 
 def test_one_row_call_matches_the_batch_on_the_order8_census(census8_path):
     graphs = list(census.Graph6Source(census8_path))
-    vals = eigen.spectra_batch(_adjacency_stack(graphs))
+    vals = eigen.spectra_batch(_adjacency(*_pair_bits(graphs)))
     table = indices_batch(vals)
     fields = ("lambda_max", "lambda_min", "lambda_plus", "lambda_minus",
               "gap", "ind", "pow")

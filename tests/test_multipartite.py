@@ -2,13 +2,16 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specgap import census, eigen, graph6, multipartite as mp
 from specgap.graphs import (
     Graph,
+    _pair_bits,
     complete,
     complete_multipartite,
     cycle,
@@ -388,6 +391,47 @@ def test_batch_reports_match_per_graph_eigensolves(census8_path):
     # graphs on premise among the 1,295 (the rest are off it), so both
     # branches of each premised batch ran
     assert seen == [1258, 61]
+
+
+_CENSUS_BOUNDS = (
+    (mp._nonmultipartite_columns, mp.nonmultipartite_bounds_batch),
+    (mp._bipartite_columns, mp.bipartite_gap_bound_batch),
+    (mp._cone_columns, mp.cone_lambda_max_bound_batch),
+    (mp._pendant_columns, mp.pendant_lambda_min_bound_batch),
+)
+
+
+def _outcome_or_error(call, *args):
+    try:
+        return call(*args)
+    except DegenerateSpectrumError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("slack", [mp._SLACK, -0.3, -0.6])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_columns_agree_with_the_reports(slack, data):
+    # random graphs, connected or not, of orders 1 to 9: a bound applies
+    # where its batch form gives a report, and holds where that report does;
+    # the shifted slacks make some reports of every bound hold and some fail
+    # (the pendant's at -0.3, the other three's at -0.6)
+    order = data.draw(st.integers(1, 9))
+    n = order * (order - 1) // 2
+    graphs = [Graph(order, b) for b in data.draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))]
+    with mock.patch.object(mp, "_SLACK", slack):
+        for columns, batch in _CENSUS_BOUNDS:
+            got = _outcome_or_error(columns, *_pair_bits(graphs))
+            want = _outcome_or_error(batch, graphs)
+            if isinstance(want, str):  # a degenerate spectrum raises in both
+                assert got == want
+                continue
+            why, holds, _ = got
+            assert why.tolist() == [str(r) if isinstance(r, mp.NotApplicableError)
+                                    else "" for r in want]
+            assert holds.tolist() == [not isinstance(r, mp.NotApplicableError)
+                                      and r.holds for r in want]
 
 
 def test_batch_of_no_graphs_and_of_mixed_orders():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from specgap import eigen, graph6, multipartite, verify
+from specgap import census, eigen, graph6, multipartite, verify
 from specgap.census import SOURCE_BLOCK, MixedOrdersError
 from specgap.graphs import (
     Graph,
@@ -200,13 +200,13 @@ def test_prop2a_skips_a_block_without_an_eigensolve(
               + [multi[i % len(multi)] for i in range(SWEEP_BLOCK)]
               + census6)
     stacked = []
-    build = multipartite._adjacency_stack
+    build = multipartite._adjacency
 
-    def spy(block):
-        stacked.append(len(block))
-        return build(block)
+    def spy(m, bits, *args):
+        stacked.append(len(bits))
+        return build(m, bits, *args)
 
-    monkeypatch.setattr(multipartite, "_adjacency_stack", spy)
+    monkeypatch.setattr(multipartite, "_adjacency", spy)
     result = run_check("prop2a", 6, _g6_file(tmp_path, graphs))
     on_premise = [detect_complete_multipartite(g) is None for g in graphs]
     assert stacked == [sum(on_premise[:SWEEP_BLOCK]),
@@ -216,11 +216,31 @@ def test_prop2a_skips_a_block_without_an_eigensolve(
     assert result.passed
 
 
-@pytest.mark.parametrize("check", ["prop2a", "bipartite-bound", "vertex-add"])
-def test_census_bound_suites_solve_no_graph_on_its_own(monkeypatch, check):
+@pytest.mark.parametrize("check", ["prop2a", "bipartite-bound", "vertex-add",
+                                   "classical", "prop2b"])
+def test_census_bound_suites_solve_no_graph_on_its_own(tmp_path, monkeypatch,
+                                                      census6, check):
+    # the suites read pair-bit batches: no graph is eigensolved on its own,
+    # no file row becomes a Graph, and a passing sweep encodes no graph6
     def per_graph(g):
         raise AssertionError(f"per-graph eigensolve of {graph6.encode(g)}")
 
+    def no_graphs(source):
+        raise AssertionError("the census file was read as Graphs")
+
+    f = _g6_file(tmp_path, census6)
     monkeypatch.setattr(eigen, "spectrum", per_graph)
     monkeypatch.setattr(eigen, "eigensystem", per_graph)
+    monkeypatch.setattr(census.Graph6Source, "__iter__", no_graphs)
+    encoded = []
+    encode = graph6.encode
+
+    def spy(g):
+        encoded.append(g)
+        return encode(g)
+
+    monkeypatch.setattr(graph6, "encode", spy)
     assert run_check(check, 6).passed
+    assert run_check(check, 6, f).passed
+    # the census statistics label their extreme graphs, and only those
+    assert len(encoded) <= (30 if check in ("classical", "prop2b") else 0)
