@@ -41,7 +41,7 @@ import numpy as np
 
 from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _connected_rows, _pair_bits,
-                     _to_graphs, pair_count)
+                     _to_graphs)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
                       index_table, indices_batch)
@@ -348,9 +348,9 @@ def _chunks(batches: Iterable[tuple[int, np.ndarray]], size: int
     end: the cut _blocks makes of the same graphs."""
     nonempty = (batch for batch in batches if len(batch[1]))
     for m, run in itertools.groupby(nonempty, lambda batch: batch[0]):
-        rows = np.zeros((0, pair_count(m)), np.uint8)
+        rows = None
         for _, bits in run:
-            rows = np.concatenate([rows, bits])
+            rows = bits if rows is None else np.concatenate([rows, bits])
             while len(rows) >= size:
                 yield m, rows[:size]
                 rows = rows[size:]
@@ -381,7 +381,7 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
 
 def _census_report(chunks: Iterable[tuple[int, np.ndarray]],
                    zero_tol: float | None = None, threads: int = 1) -> CensusReport:
-    """The CensusReport of the order and pair bits of one order's chunks."""
+    """The CensusReport of the (order, pair bits) chunks of a one-order census."""
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     order = 0
