@@ -15,6 +15,7 @@ from specgap.graphs import (
     complete,
     complete_multipartite,
     cycle,
+    from_edges,
     kmm_minus_e,
     kmm_plus_e,
     path,
@@ -243,7 +244,7 @@ def test_nonmultipartite_bounds():
         mp.nonmultipartite_bounds_check(complete(4))
 
 
-def test_nonmultipartite_bound_values():
+def test_nonmultipartite_bound_values(monkeypatch):
     # even order: ind <= m/2; odd order: ind <= sqrt(m^2-1)/2
     r = mp.nonmultipartite_bounds_check(path(6))
     assert r.ind_bound == pytest.approx(3.0)
@@ -251,6 +252,12 @@ def test_nonmultipartite_bound_values():
     r = mp.nonmultipartite_bounds_check(path(5))
     assert r.ind_bound == pytest.approx(math.sqrt(24.0) / 2.0)
     assert r.gap_bound == pytest.approx(3.5)
+    # at slack -0.6 this graph (lambda_+ 0.518, lambda2 1.414) fails only
+    # the lambda2 <= floor(m/2) - 1 clause of the premise
+    monkeypatch.setattr(mp, "_SLACK", -0.6)
+    r = mp.nonmultipartite_bounds_check(graph6.decode("FLQC?"))
+    assert 0.0 < r.idx.lambda_plus <= r.lambda2 - 0.6
+    assert not r.premise_ok and not r.holds
 
 
 def test_bipartite_gap_bound_examples():
@@ -271,6 +278,10 @@ def test_bipartite_gap_bound_applicability():
         mp.bipartite_gap_bound(complete_multipartite([2, 3]))  # complete bip.
     with pytest.raises(mp.NotApplicableError):
         mp.bipartite_gap_bound(path(3))              # denominator vanishes
+    # a triangle whose BFS layers still count a (m - a) = 6 edges
+    odd = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4)])
+    with pytest.raises(mp.NotApplicableError, match="^graph is not bipartite$"):
+        mp.bipartite_gap_bound(odd)
 
 
 def test_bipartite_gap_bound_over_census(census6):
@@ -401,6 +412,24 @@ _CENSUS_BOUNDS = (
 )
 
 
+def _follows_the_rules(r, m, slack):
+    """Whether the derived fields of a report on an order-m graph are what
+    scalar arithmetic on its other fields gives."""
+    if isinstance(r, mp.NonMultipartiteBoundsReport):
+        i = r.idx
+        return (r.premise_ok == (0.0 < i.lambda_plus <= r.lambda2 + slack
+                                 and r.lambda2 <= r.lambda2_bound + slack)
+                and r.gap_ok == (i.gap <= r.gap_bound + slack)
+                and r.ind_ok == (i.ind <= r.ind_bound + slack))
+    if isinstance(r, mp.BipartiteBoundReport):
+        d, k = r.avg_degree, r.nullity
+        return r.bound == 2.0 * math.sqrt(d * (m - 2.0 * d) / (m - k - 2.0))
+    lam = r.base_value
+    if isinstance(r, mp.ConeReport):
+        return r.bound == (lam + math.sqrt(lam * lam + 4.0)) / 2.0
+    return r.bound == (lam - math.sqrt(lam * lam + 4.0 / m)) / 2.0
+
+
 def _outcome_or_error(call, *args):
     try:
         return call(*args)
@@ -413,9 +442,10 @@ def _outcome_or_error(call, *args):
 @given(data=st.data())
 def test_columns_agree_with_the_reports(slack, data):
     # random graphs, connected or not, of orders 1 to 9: a bound applies
-    # where its batch form gives a report, and holds where that report does;
-    # the shifted slacks make some reports of every bound hold and some fail
-    # (the pendant's at -0.3, the other three's at -0.6)
+    # where its batch form gives a report, and holds where that report does,
+    # and each report's derived fields match scalar arithmetic; the shifted
+    # slacks make some reports of every bound hold and some fail (the
+    # pendant's at -0.3, the other three's at -0.6)
     order = data.draw(st.integers(1, 9))
     n = order * (order - 1) // 2
     graphs = [Graph(order, b) for b in data.draw(
@@ -432,6 +462,8 @@ def test_columns_agree_with_the_reports(slack, data):
                                     else "" for r in want]
             assert holds.tolist() == [not isinstance(r, mp.NotApplicableError)
                                       and r.holds for r in want]
+            assert all(_follows_the_rules(r, order, slack) for r in want
+                       if not isinstance(r, mp.NotApplicableError))
 
 
 def test_batch_of_no_graphs_and_of_mixed_orders():

@@ -145,6 +145,17 @@ def test_census_file_order_error_names_the_graph_past_the_first_block(
                               "not the requested 5")
 
 
+@pytest.mark.parametrize("check", ["prop2a", "vertex-add", "classical"])
+def test_census_file_skips_a_disconnected_block_of_another_order(
+        tmp_path, monkeypatch, census5, check):
+    # a whole file block of disconnected order-6 rows yields no graph, so
+    # its order is never checked; the suite sees the order-5 census
+    monkeypatch.setattr(census, "SOURCE_BLOCK", 4)
+    graphs = census5[:8] + [Graph(6, 0)] * 4 + census5[8:]
+    got = run_check(check, 5, _g6_file(tmp_path, graphs))
+    assert got == run_check(check, 5)
+
+
 @pytest.mark.parametrize("check", ["prop1", "prop3", "prop4"])
 def test_file_for_a_suite_without_census_is_an_error(check):
     with pytest.raises(verify.NoCensusError, match=check):
