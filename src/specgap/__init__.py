@@ -12,11 +12,9 @@ The imports below are the package's public names.
 from .graphs import (
     Graph,
     InvalidParamsError,
-    bipartite_batch,
     bipartition,
     complete,
     complete_multipartite,
-    complete_multipartite_batch,
     cycle,
     detect_complete_multipartite,
     from_edges,
@@ -77,19 +75,15 @@ from .multipartite import (
     SpectrumEntry,
     approx_connected_count,
     bipartite_gap_bound,
-    bipartite_gap_bound_batch,
     cone_lambda_max_bound,
-    cone_lambda_max_bound_batch,
     density_search,
     dispersion_sum,
     kmm_minus_e_spectrum,
     kmm_plus_e_spectrum,
     multipartite_bounds_check,
     multipartite_spectrum,
-    nonmultipartite_bounds_batch,
     nonmultipartite_bounds_check,
     pendant_lambda_min_bound,
-    pendant_lambda_min_bound_batch,
     reduced_part_matrix,
     tripartite_roots,
 )

@@ -13,12 +13,13 @@ such a list is non-empty and of one order).  Every array of a batch is
 scattered from its pair bits here: adjacency stacks and per-vertex
 neighbor masks (uint64 up to 64 vertices, Python ints beyond).  The
 structure tests run on those masks (_connected_rows, _bipartite_rows,
-_multipartite_rows); bipartite_batch and complete_multipartite_batch are
-their forms on lists of graphs.
+_multipartite_rows); bipartition and detect_complete_multipartite are
+their one-graph cases.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -198,7 +199,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 
     The class containing vertex 0 comes first; classes are sorted tuples.
     """
-    ok, even = bipartite_batch([g])
+    ok, even = _bipartite_rows(*_pair_bits([g]))
     if not ok[0]:
         return None
     side0 = int(even[0])
@@ -209,7 +210,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 def detect_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
     """Part sizes (ascending) if g is complete multipartite with >= 2 parts,
     else None; vertex v lies in a part of m - deg(v) vertices."""
-    if not complete_multipartite_batch([g])[0]:
+    if not _multipartite_rows(_neighbors(*_pair_bits([g])))[0]:
         return None
     sizes = [g.order - d for d in g.degrees()]
     return tuple(s for s in sorted(set(sizes))
@@ -244,6 +245,15 @@ def _to_graphs(m: int, bits: np.ndarray) -> list[Graph]:
     return [Graph(m, int.from_bytes(row, "little")) for row in packed]
 
 
+@functools.lru_cache(maxsize=16)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The larger and smaller vertex of each pair of order m, in bitset
+    order; computed once per order and read-only, since callers share them."""
+    ju, iu = np.tril_indices(m, -1)
+    ju.flags.writeable = iu.flags.writeable = False
+    return ju, iu
+
+
 def _adjacency(m: int, bits: np.ndarray, dtype=float,
                width: int | None = None) -> np.ndarray:
     """The (n, m, m) symmetric 0/1 adjacency matrices of a batch, or its
@@ -251,7 +261,7 @@ def _adjacency(m: int, bits: np.ndarray, dtype=float,
     width = width or m
     mats = np.zeros((len(bits), m, width), dtype)
     flat = mats.reshape(len(bits), m * width)
-    ju, iu = np.tril_indices(m, -1)  # the pairs (i, j) in bitset order
+    ju, iu = _pairs(m)
     flat[:, iu * width + ju] = bits
     flat[:, ju * width + iu] = bits
     return mats
@@ -298,32 +308,21 @@ def _connected_rows(m: int, bits: np.ndarray) -> np.ndarray:
     return _bfs(_neighbors(m, bits))[0] == (1 << m) - 1
 
 
-def bipartite_batch(graphs: Sequence[Graph]) -> tuple[np.ndarray, np.ndarray]:
-    """Which of a batch of same-order graphs are connected and bipartite,
-    and the mask of each one's vertices at even distance from vertex 0."""
-    return _bipartite_rows(*_pair_bits(graphs))
-
-
 def _bipartite_rows(m: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """bipartite_batch of a batch's order and pair bits."""
+    """Which graphs of a batch (order and pair bits) are connected and
+    bipartite, and the mask of each one's vertices at even distance from
+    vertex 0."""
     reached, even, clash = _bfs(_neighbors(m, bits))
     return (reached == (1 << m) - 1) & ~clash, even
 
 
-def complete_multipartite_batch(graphs: Sequence[Graph]) -> np.ndarray:
-    """Which of a batch of same-order graphs are complete multipartite
-    with at least two parts."""
-    return _multipartite_rows(*_pair_bits(graphs))
-
-
-def _multipartite_rows(m: int, bits: np.ndarray) -> np.ndarray:
-    """complete_multipartite_batch of a batch's order and pair bits: the
-    graphs with an edge in which every two non-adjacent vertices have the
-    same neighbors (non-adjacency is then an equivalence relation, and its
-    classes are the parts)."""
-    nb = _neighbors(m, bits)
+def _multipartite_rows(nb: list[np.ndarray]) -> np.ndarray:
+    """Which graphs of a batch (its _neighbors masks) are complete
+    multipartite with at least two parts: those with an edge in which every
+    two non-adjacent vertices have the same neighbors (non-adjacency is then
+    an equivalence relation, and its classes are the parts)."""
     ok = np.logical_or.reduce([x != 0 for x in nb])
-    for v in range(1, m):
+    for v in range(1, len(nb)):
         for u in range(v):
             ok &= (((nb[u] >> v) & 1) != 0) | (nb[u] == nb[v])
     return ok

@@ -97,12 +97,9 @@ def index_table(vals_desc: np.ndarray, zero_tol: float | None = None
     }
 
 
-def index_rows(table: dict[str, np.ndarray], rows: np.ndarray | None = None
-               ) -> list[SpectralIndices]:
-    """The rows of an index_table (those ``rows`` selects, else all), as
-    compute_indices gives them; a degenerate row raises."""
-    if rows is not None:
-        table = {name: column[rows] for name, column in table.items()}
+def index_rows(table: dict[str, np.ndarray]) -> list[SpectralIndices]:
+    """The rows of an index_table, as compute_indices gives them; a
+    degenerate row raises."""
     _require_signs(table)
     return [SpectralIndices(*row)
             for row in zip(*(table[name].tolist() for name in _FIELDS))]

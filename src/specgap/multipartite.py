@@ -19,15 +19,12 @@ vertex additions) each run on the order and pair bits of a batch of
 graphs (graphs.py): premises on neighbor masks, spectra from one batched
 eigensolve, cone and pendant matrices scattered from the pair bits grown
 by the new vertex's pairs.  Each gives columns: per graph whether it
-applies and holds, and report fields, from which the exported batch form
-builds each graph's report or NotApplicableError.  The one-graph function
-of the same name is its one-graph case.
+applies and holds, and report fields.  The exported function of the same
+name is its one-graph case: the graph's report, or its NotApplicableError.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -36,7 +33,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import eigen
-from .graphs import (Graph, _adjacency, _bipartite_rows, _multipartite_rows,
+from .graphs import (Graph, _adjacency, _bfs, _multipartite_rows, _neighbors,
                      _pair_bits)
 from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
 from .indices import (SpectralIndices, _require_signs, compute_indices,
@@ -395,19 +392,15 @@ def _columns(why: np.ndarray, report: type, **fields: Any) -> tuple:
     return why, holds, fields
 
 
-def _batch(graphs: Sequence[Graph], columns: Callable[..., tuple],
-           report: type) -> list:
-    """A census bound on each of same-order graphs: its report where it
-    applies, else the NotApplicableError of the premise the graph is off."""
-    if not graphs:
-        return []
-    why, _, fields = columns(*_pair_bits(graphs))
-    values = (index_rows(v) if isinstance(v, dict)
-              else v.tolist() if isinstance(v, np.ndarray)
-              else itertools.repeat(v)
-              for v in (fields[f.name] for f in dataclasses.fields(report)))
-    reports = itertools.starmap(report, zip(*values))
-    return [NotApplicableError(w) if w else next(reports) for w in why.tolist()]
+def _report(g: Graph, columns: Callable[..., tuple], report: type) -> Any:
+    """A census bound on one graph: its report, with plain Python fields,
+    or the NotApplicableError of the premise the graph is off."""
+    [why], _, fields = columns(*_pair_bits([g]))
+    if why:
+        raise NotApplicableError(why)
+    return report(**{name: index_rows(v)[0] if isinstance(v, dict)
+                     else v.tolist()[0] if isinstance(v, np.ndarray) else v
+                     for name, v in fields.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +470,14 @@ class NonMultipartiteBoundsReport:
 
 
 def nonmultipartite_bounds_check(g: Graph) -> NonMultipartiteBoundsReport:
-    [outcome] = nonmultipartite_bounds_batch([g])
-    if isinstance(outcome, NotApplicableError):
-        raise outcome
-    return outcome
-
-
-def nonmultipartite_bounds_batch(graphs: Sequence[Graph]
-                                 ) -> list[NonMultipartiteBoundsReport
-                                           | NotApplicableError]:
-    """nonmultipartite_bounds_check on each of same-order graphs."""
-    return _batch(graphs, _nonmultipartite_columns, NonMultipartiteBoundsReport)
+    return _report(g, _nonmultipartite_columns, NonMultipartiteBoundsReport)
 
 
 def _nonmultipartite_columns(m: int, bits: np.ndarray) -> tuple:
+    nb = _neighbors(m, bits)
     why = np.full(len(bits), "", object)
-    why[_multipartite_rows(m, bits)] = "graph is complete multipartite"
+    why[_multipartite_rows(nb)] = "graph is complete multipartite"
+    why[_bfs(nb)[0] != (1 << m) - 1] = "graph is not connected"
     vals = _spectra(m, bits[why == ""])
     table = index_table(vals)
     _require_signs(table)
@@ -529,28 +514,19 @@ class BipartiteBoundReport:
 
 def bipartite_gap_bound(g: Graph) -> BipartiteBoundReport:
     """2 sqrt(d (m - 2d) / (m - k - 2)) check; d avg degree, k the nullity."""
-    [outcome] = bipartite_gap_bound_batch([g])
-    if isinstance(outcome, NotApplicableError):
-        raise outcome
-    return outcome
-
-
-def bipartite_gap_bound_batch(graphs: Sequence[Graph]
-                              ) -> list[BipartiteBoundReport
-                                        | NotApplicableError]:
-    """bipartite_gap_bound on each of same-order graphs."""
-    return _batch(graphs, _bipartite_columns, BipartiteBoundReport)
+    return _report(g, _bipartite_columns, BipartiteBoundReport)
 
 
 def _bipartite_columns(m: int, bits: np.ndarray) -> tuple:
     # a connected bipartite graph with sides of a and m - a vertices is
     # complete bipartite when it has a (m - a) > 0 edges
-    bipartite, even = _bipartite_rows(m, bits)
+    reached, even, clash = _bfs(_neighbors(m, bits))
     edges = bits.sum(axis=1)
     side = sum((even >> v) & 1 for v in range(m))
     why = np.full(len(bits), "", object)
     why[(0 < edges) & (edges == side * (m - side))] = "graph is complete bipartite"
-    why[~bipartite] = "graph is not bipartite"
+    why[clash] = "graph is not bipartite"
+    why[reached != (1 << m) - 1] = "graph is not connected"
     rows = np.flatnonzero(why == "")
     table = index_table(_spectra(m, bits[rows]))
     fits = m - table["nullity"] - 2 > 0
@@ -636,13 +612,7 @@ class PendantReport:
 def cone_lambda_max_bound(g: Graph) -> ConeReport:
     """Join a new vertex to every vertex; lambda_max grows to at least
     (lambda_max + sqrt(lambda_max^2 + 4)) / 2."""
-    return cone_lambda_max_bound_batch([g])[0]
-
-
-def cone_lambda_max_bound_batch(graphs: Sequence[Graph]) -> list[ConeReport]:
-    """cone_lambda_max_bound on each of same-order graphs: one batched
-    eigensolve for the graphs, one for their cones."""
-    return _batch(graphs, _cone_columns, ConeReport)
+    return _report(g, _cone_columns, ConeReport)
 
 
 def _cone_columns(m: int, bits: np.ndarray) -> tuple:
@@ -660,14 +630,7 @@ def pendant_lambda_min_bound(g: Graph) -> PendantReport:
     """Attach a pendant at the heaviest coordinate of the lambda_min
     eigenvector; lambda_min drops to at most
     (lambda_min - sqrt(lambda_min^2 + 4/m)) / 2."""
-    return pendant_lambda_min_bound_batch([g])[0]
-
-
-def pendant_lambda_min_bound_batch(graphs: Sequence[Graph]
-                                   ) -> list[PendantReport]:
-    """pendant_lambda_min_bound on each of same-order graphs: one batched
-    eigensystem for the graphs, one eigensolve for their pendants."""
-    return _batch(graphs, _pendant_columns, PendantReport)
+    return _report(g, _pendant_columns, PendantReport)
 
 
 def _pendant_columns(m: int, bits: np.ndarray) -> tuple:

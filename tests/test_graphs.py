@@ -231,8 +231,9 @@ def _complement_cliques(g):
 
 
 def _check_structure(batch, one_graph_calls=True):
-    bipartite, even = graphs.bipartite_batch(batch)
-    multi = graphs.complete_multipartite_batch(batch)
+    m, bits = graphs._pair_bits(batch)
+    bipartite, even = graphs._bipartite_rows(m, bits)
+    multi = graphs._multipartite_rows(graphs._neighbors(m, bits))
     assert len(bipartite) == len(even) == len(multi) == len(batch)
     for g, bip, side, mul in zip(batch, bipartite.tolist(), even.tolist(),
                                  multi.tolist()):
@@ -308,9 +309,7 @@ def test_structure_at_order_100():
                      one_graph_calls=False)
 
 
-@pytest.mark.parametrize("build", [graphs.bipartite_batch,
-                                   graphs.complete_multipartite_batch,
-                                   graphs._pair_bits])
+@pytest.mark.parametrize("build", [graphs._pair_bits])
 def test_batch_builders_reject_mixed_orders_and_no_graphs(build):
     with pytest.raises(ValueError, match="one order"):
         build([path(3), cycle(5)])

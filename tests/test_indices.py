@@ -101,7 +101,8 @@ def test_index_rows_of_selected_rows():
     table = index_table(np.array([[1.0, 0.0], [2.0, -1.0], [3.0, 0.0]]))
     assert table["degenerate"].tolist() == [True, False, True]
     assert table["nullity"].tolist() == [1, 0, 1]
-    [idx] = index_rows(table, ~table["degenerate"])
+    [idx] = index_rows({name: column[~table["degenerate"]]
+                        for name, column in table.items()})
     assert idx == compute_indices([2.0, -1.0])
     with pytest.raises(DegenerateSpectrumError):
         index_rows(table)

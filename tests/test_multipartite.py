@@ -300,7 +300,7 @@ def test_bipartite_gap_bound_over_census(census6):
 
 
 # ---------------------------------------------------------------------------
-# the batch forms against per-graph dense eigensolves
+# the census bounds against per-graph dense eigensolves
 
 def _oracle(g):
     """The four bound outcomes of one graph, derived here from per-graph
@@ -373,9 +373,30 @@ def _oracle(g):
     return nonmulti, bip, cone, pendant
 
 
-def _outcome(result):
-    # a report, or None for the NotApplicableError of a graph off premise
-    return None if isinstance(result, mp.NotApplicableError) else result
+_CENSUS_BOUNDS = (
+    (mp._nonmultipartite_columns, mp.nonmultipartite_bounds_check),
+    (mp._bipartite_columns, mp.bipartite_gap_bound),
+    (mp._cone_columns, mp.cone_lambda_max_bound),
+    (mp._pendant_columns, mp.pendant_lambda_min_bound),
+)
+
+
+def _outcome(check, g):
+    """One graph's report, or its NotApplicableError where it is off the
+    bound's premise."""
+    try:
+        return check(g)
+    except mp.NotApplicableError as exc:
+        return exc
+
+
+def _is_plain(report):
+    """Whether every field of a report is a Python float, int or bool, or a
+    SpectralIndices of floats: no numpy scalar."""
+    fields = dict(vars(report))
+    idx = fields.pop("idx", SpectralIndices(*[0.0] * 7))
+    return (all(type(v) in (float, int, bool) for v in fields.values())
+            and all(type(v) is float for v in vars(idx).values()))
 
 
 def test_batch_reports_match_per_graph_eigensolves(census8_path):
@@ -386,30 +407,21 @@ def test_batch_reports_match_per_graph_eigensolves(census8_path):
                    for s in random.Random(8).sample(lines, 300)]
     seen = [0, 0]
     for graphs in by_order.values():
-        got = zip(mp.nonmultipartite_bounds_batch(graphs),
-                  mp.bipartite_gap_bound_batch(graphs),
-                  mp.cone_lambda_max_bound_batch(graphs),
-                  mp.pendant_lambda_min_bound_batch(graphs))
-        for g, outcomes in zip(graphs, got):
+        for g in graphs:
             want = _oracle(g)
-            # dataclass equality compares every field, floats exactly
-            got_reports = tuple(map(_outcome, outcomes))
-            assert got_reports == want, graph6.encode(g)
-            assert [r.holds for r in got_reports if r is not None] == \
+            got = tuple(None if isinstance(r, mp.NotApplicableError) else r
+                        for r in (_outcome(check, g)
+                                  for _, check in _CENSUS_BOUNDS))
+            # the reprs compare every field, floats exactly, and their types
+            assert repr(got) == repr(want), graph6.encode(g)
+            assert all(_is_plain(r) for r in got if r is not None)
+            assert [r.holds for r in got if r is not None] == \
                 [r.holds for r in want if r is not None]
             seen[0] += want[0] is not None
             seen[1] += want[1] is not None
     # graphs on premise among the 1,295 (the rest are off it), so both
-    # branches of each premised batch ran
+    # branches of each premised bound ran
     assert seen == [1258, 61]
-
-
-_CENSUS_BOUNDS = (
-    (mp._nonmultipartite_columns, mp.nonmultipartite_bounds_batch),
-    (mp._bipartite_columns, mp.bipartite_gap_bound_batch),
-    (mp._cone_columns, mp.cone_lambda_max_bound_batch),
-    (mp._pendant_columns, mp.pendant_lambda_min_bound_batch),
-)
 
 
 def _follows_the_rules(r, m, slack):
@@ -441,8 +453,9 @@ def _outcome_or_error(call, *args):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_columns_agree_with_the_reports(slack, data):
-    # random graphs, connected or not, of orders 1 to 9: a bound applies
-    # where its batch form gives a report, and holds where that report does,
+    # random graphs, connected or not, of orders 1 to 9: row k of a bound's
+    # columns applies where its one-graph form gives graph k a report, and
+    # holds where that report does,
     # and each report's derived fields match scalar arithmetic; the shifted
     # slacks make some reports of every bound hold and some fail (the
     # pendant's at -0.3, the other three's at -0.6)
@@ -451,11 +464,13 @@ def test_columns_agree_with_the_reports(slack, data):
     graphs = [Graph(order, b) for b in data.draw(
         st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))]
     with mock.patch.object(mp, "_SLACK", slack):
-        for columns, batch in _CENSUS_BOUNDS:
+        for columns, check in _CENSUS_BOUNDS:
             got = _outcome_or_error(columns, *_pair_bits(graphs))
-            want = _outcome_or_error(batch, graphs)
-            if isinstance(want, str):  # a degenerate spectrum raises in both
-                assert got == want
+            want = [_outcome_or_error(_outcome, check, g) for g in graphs]
+            errors = {w for w in want if isinstance(w, str)}
+            if errors or isinstance(got, str):
+                # a degenerate spectrum raises for the graph and its batch
+                assert errors == {got}
                 continue
             why, holds, _ = got
             assert why.tolist() == [str(r) if isinstance(r, mp.NotApplicableError)
@@ -466,32 +481,42 @@ def test_columns_agree_with_the_reports(slack, data):
                        if not isinstance(r, mp.NotApplicableError))
 
 
-def test_batch_of_no_graphs_and_of_mixed_orders():
-    for batch in (mp.nonmultipartite_bounds_batch, mp.bipartite_gap_bound_batch,
-                  mp.cone_lambda_max_bound_batch,
-                  mp.pendant_lambda_min_bound_batch):
-        assert batch([]) == []
-        with pytest.raises(ValueError, match="one order"):
-            batch([path(4), path(5)])
-
-
 def test_premised_batches_at_order_one():
-    # the one-vertex graph is bipartite and not complete bipartite, and it
-    # has no nonzero eigenvalue at all
-    [outcome] = mp.bipartite_gap_bound_batch([Graph(1, 0)])
-    assert str(outcome) == "zero multiplicity too large for the bound"
+    # the one-vertex graph is connected, bipartite and not complete
+    # bipartite, and it has no nonzero eigenvalue at all
+    with pytest.raises(mp.NotApplicableError,
+                       match="^zero multiplicity too large for the bound$"):
+        mp.bipartite_gap_bound(Graph(1, 0))
     with pytest.raises(DegenerateSpectrumError,
                        match="^spectrum has no eigenvalues of both signs"):
-        mp.nonmultipartite_bounds_batch([Graph(1, 0)])
+        mp.nonmultipartite_bounds_check(Graph(1, 0))
+
+
+def test_premised_bounds_need_a_connected_graph():
+    # a path and a disjoint edge would pass the non-multipartite bounds,
+    # the edgeless graph has no nonzero eigenvalue, and two paths are
+    # bipartite
+    for check, g in ((mp.nonmultipartite_bounds_check,
+                      from_edges(5, [(0, 1), (2, 3), (3, 4)])),
+                     (mp.nonmultipartite_bounds_check, Graph(3, 0)),
+                     (mp.bipartite_gap_bound,
+                      from_edges(6, [(0, 1), (1, 2), (3, 4)]))):
+        with pytest.raises(mp.NotApplicableError,
+                           match="^graph is not connected$"):
+            check(g)
+    why, _, _ = mp._bipartite_columns(*_pair_bits([cycle(5), Graph(5, 0),
+                                                    path(5)]))
+    assert why.tolist() == ["graph is not bipartite", "graph is not connected",
+                            ""]
 
 
 def test_one_graph_check_raises_the_batch_outcome():
-    with pytest.raises(mp.NotApplicableError, match="complete bipartite"):
+    why, _, _ = mp._bipartite_columns(*_pair_bits([star(5), path(5)]))
+    assert why.tolist() == ["graph is complete bipartite", ""]
+    with pytest.raises(mp.NotApplicableError,
+                       match="^graph is complete bipartite$"):
         mp.bipartite_gap_bound(star(5))
-    [outcome] = mp.bipartite_gap_bound_batch([star(5)])
-    assert str(outcome) == "graph is complete bipartite"
-    assert mp.nonmultipartite_bounds_check(path(6)) == \
-        mp.nonmultipartite_bounds_batch([path(6)])[0]
+    assert mp.nonmultipartite_bounds_check(path(6)) == _oracle(path(6))[0]
 
 
 # ---------------------------------------------------------------------------
