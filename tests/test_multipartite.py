@@ -394,9 +394,9 @@ def _is_plain(report):
     """Whether every field of a report is a Python float, int or bool, or a
     SpectralIndices of floats: no numpy scalar."""
     fields = dict(vars(report))
-    idx = fields.pop("idx", SpectralIndices(*[0.0] * 7))
+    idx = vars(fields.pop("idx")).values() if "idx" in fields else ()
     return (all(type(v) in (float, int, bool) for v in fields.values())
-            and all(type(v) is float for v in vars(idx).values()))
+            and all(type(v) is float for v in idx))
 
 
 def test_batch_reports_match_per_graph_eigensolves(census8_path):
@@ -455,10 +455,9 @@ def _outcome_or_error(call, *args):
 def test_columns_agree_with_the_reports(slack, data):
     # random graphs, connected or not, of orders 1 to 9: row k of a bound's
     # columns applies where its one-graph form gives graph k a report, and
-    # holds where that report does,
-    # and each report's derived fields match scalar arithmetic; the shifted
-    # slacks make some reports of every bound hold and some fail (the
-    # pendant's at -0.3, the other three's at -0.6)
+    # holds where that report does, and each report's derived fields match
+    # scalar arithmetic; the shifted slacks make some reports of every bound
+    # hold and some fail (the pendant's at -0.3, the other three's at -0.6)
     order = data.draw(st.integers(1, 9))
     n = order * (order - 1) // 2
     graphs = [Graph(order, b) for b in data.draw(
@@ -504,10 +503,13 @@ def test_premised_bounds_need_a_connected_graph():
         with pytest.raises(mp.NotApplicableError,
                            match="^graph is not connected$"):
             check(g)
+    # a disconnected graph is off premise for that reason, even with an
+    # odd cycle
+    triangle = from_edges(5, [(0, 1), (1, 2), (0, 2)])
     why, _, _ = mp._bipartite_columns(*_pair_bits([cycle(5), Graph(5, 0),
-                                                    path(5)]))
+                                                    triangle, path(5)]))
     assert why.tolist() == ["graph is not bipartite", "graph is not connected",
-                            ""]
+                            "graph is not connected", ""]
 
 
 def test_one_graph_check_raises_the_batch_outcome():
