@@ -91,6 +91,7 @@ from .census import (
     CANON_MAX_ORDER,
     KNOWN_CONNECTED_COUNTS,
     CensusReport,
+    DisconnectedInputError,
     EmptySourceError,
     ExtremalResult,
     Graph6FileError,

@@ -6,9 +6,15 @@ individualization-refinement search (labels assigned from the highest down,
 candidates restricted by an ordered partition of the unlabeled vertices).
 extend_census grows a complete order-m census to order m+1 by attaching a
 new vertex in every possible way and keeping one canonical graph per class
-(complete, because every connected graph has a non-cut vertex);
-enumerate_connected runs that extension from the one-vertex graph, up to
-order 8 (CANON_MAX_ORDER).  Larger orders come from graph6 files.
+(complete, because every connected graph has a non-cut vertex).  As in
+McKay's canonical construction path, numpy passes over blocks of
+candidates drop most of them before their search: twin pruning, and, from
+a complete census, the canonical-deletion filter (see _extend).
+enumerate_connected runs that extension from the one-vertex graph,
+checking each step's count, up to order 8 (CANON_MAX_ORDER).  The cap
+stays at 8 because order 9 is a step of its own: extending the committed
+connected8.g6, with the order-9 census checked against its known count.
+Larger orders come from graph6 files.
 
 The census path is columnar.  Graph6Source reads its file in blocks of
 raw lines and decodes a block of one order byte and width in one numpy
@@ -40,8 +46,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import eigen, graph6
-from .graphs import (Graph, _adjacency, _connected_rows, _pair_bits,
-                     _to_graphs)
+from .graphs import (Graph, _adjacency, _connected_rows, _neighbors,
+                     _pair_bits, _pairs, _to_graphs)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
                       index_table, indices_batch)
@@ -52,6 +58,7 @@ CANON_MAX_ORDER = 8
 HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
 CHUNK_SIZE = 2048  # graphs per eigensolved chunk unless a caller says otherwise
+EXTEND_BLOCK = 512  # about this many candidate rows per block of _extend
 
 # connected graphs per order, for reporting and self-checks (OEIS A001349)
 KNOWN_CONNECTED_COUNTS = {
@@ -66,6 +73,10 @@ class OrderTooLargeError(ValueError):
 
 class MixedOrdersError(ValueError):
     """A census source produced graphs of different orders."""
+
+
+class DisconnectedInputError(ValueError):
+    """A graph given to extend_census is not connected."""
 
 
 class EmptySourceError(ValueError):
@@ -155,17 +166,61 @@ def canonical_bits(g: Graph) -> int:
     return _canonical_mask(g.neighbor_masks())
 
 
-def _extend(graphs: Sequence[Graph]) -> list[Graph]:
-    """Canonical classes of every one-vertex extension, ascending bits."""
-    m = graphs[0].order
-    new = 1 << m
+def _vertex_keys(adj: np.ndarray) -> np.ndarray:
+    """Per graph of an (n, m, m) 0/1 adjacency stack, per vertex: its
+    degree, its neighbors' degree sum and twice its triangle count, packed
+    into one integer in that order of precedence.  Relabeling a graph
+    permutes its keys, so comparing keys is an isomorphism invariant."""
+    deg = adj.sum(2)
+    nds = np.matmul(adj, deg[:, :, None])[:, :, 0]
+    tri = (np.matmul(adj, adj) * adj).sum(2)
+    return deg << 32 | nds << 16 | tri
+
+
+def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
+    """Canonical classes of the one-vertex extensions of the connected
+    order-m graphs with these pair bits, ascending bits.
+
+    A candidate row is its parent's bits followed by the attach column
+    (pair (i, m) set iff the new vertex m is joined to i), built for a few
+    parents at a time, about EXTEND_BLOCK rows before pruning.  Twin
+    pruning: swapping two twins of the parent (same neighbors apart from
+    each other) is an automorphism, so of the attach sets it exchanges
+    only the one holding the lower twin is built.  Canonical-deletion
+    filter, when complete (the parents hold every connected class of order
+    m): a candidate H is dropped when an old vertex w outranks the new one
+    by _vertex_keys and H - w is connected.  Nothing is lost: in every
+    connected order-(m+1) class, a non-cut vertex w of largest key deletes
+    to some parent's class, and the candidate that attaches the new vertex
+    where w sat (up to twin swaps) has only cut vertices above its new
+    one.  Only the candidates left run the refinement search.
+    """
+    attach = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8)
+    nb = _neighbors(m, parents)
+    ju, iu = _pairs(m + 1)
+    others = [np.flatnonzero((ju != w) & (iu != w)) for w in range(m)]
+    group = -(-EXTEND_BLOCK // len(attach))
     classes: set[int] = set()
-    for g in graphs:
-        nb = g.neighbor_masks()
-        for attach in range(1, new):
-            cand = [x | new if attach >> i & 1 else x for i, x in enumerate(nb)]
-            cand.append(attach)
-            classes.add(_canonical_mask(cand))
+    for start in range(0, len(parents), group):
+        block = slice(start, start + group)
+        keep = np.ones((len(parents[block]), len(attach)), bool)
+        for b in range(1, m):
+            for a in range(b):
+                pair = np.uint64(1 << a | 1 << b)
+                twins = (nb[a][block] ^ nb[b][block]) & ~pair == 0
+                keep &= ~(twins[:, None] & (attach[:, b] > attach[:, a]))
+        rows_of, attach_of = np.nonzero(keep)
+        rows = np.concatenate([parents[block][rows_of], attach[attach_of]], axis=1)
+        adj = _adjacency(m + 1, rows, np.uint8)
+        if complete:
+            keys = _vertex_keys(adj)
+            ok = np.ones(len(rows), bool)
+            for w in range(m):
+                hit = ok & (keys[:, w] > keys[:, m])
+                ok[hit] = ~_connected_rows(m, rows[hit][:, others[w]])
+            adj = adj[ok]
+        classes.update(map(_canonical_mask,
+                           (adj << np.arange(m + 1)).sum(2).tolist()))
     return [Graph(m + 1, b) for b in sorted(classes)]
 
 
@@ -173,15 +228,20 @@ def enumerate_connected(m: int) -> list[Graph]:
     """All connected graphs on m vertices, one canonical graph per class.
 
     Built by extending the one-vertex graph one vertex at a time (see
-    extend_census) and returned in ascending bitset order; canonical forms
-    cap it at order CANON_MAX_ORDER.
+    extend_census), each step from a complete census, so both of its
+    filters apply; a step that yields other than KNOWN_CONNECTED_COUNTS
+    classes raises RuntimeError.  Returned in ascending bitset order;
+    canonical forms cap it at order CANON_MAX_ORDER.
     """
     if m < 1:
         raise ValueError("order must be positive")
     _check_canon_order(m)
     graphs = [Graph(1, 0)]
-    for _ in range(m - 1):
-        graphs = _extend(graphs)
+    for k in range(2, m + 1):
+        graphs = _extend(*_pair_bits(graphs), complete=True)
+        if len(graphs) != KNOWN_CONNECTED_COUNTS[k]:
+            raise RuntimeError(f"order {k}: built {len(graphs)} classes, "
+                               f"not {KNOWN_CONNECTED_COUNTS[k]}")
     return graphs
 
 
@@ -193,6 +253,16 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
     over all relabelings, found by refinement search) and dedupes; the
     result is in ascending bitset order.  Complete because deleting a
     non-cut vertex of any connected graph lands back in the order-m census.
+
+    Attach sets that differ by a swap of twins of their graph are built
+    once (twin pruning, for any input).  When the input is the whole
+    census, KNOWN_CONNECTED_COUNTS[m] distinct classes, the
+    canonical-deletion filter of _extend also drops each candidate whose
+    class another route builds, one that deletes a vertex of larger key;
+    for any other input it does not apply, since a connected deletion of a
+    candidate need not be one of the input graphs.  Either way the result
+    is every class one vertex away from the input.  DisconnectedInputError
+    if an input graph is not connected.
     """
     if not graphs:
         raise EmptySourceError("no graphs to extend")
@@ -200,7 +270,15 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
     if any(g.order != m for g in graphs):
         raise MixedOrdersError("extend_census needs a single-order census")
     _check_canon_order(m + 1)
-    return _extend(graphs)
+    _, bits = _pair_bits(graphs)
+    disconnected = np.flatnonzero(~_connected_rows(m, bits))
+    if len(disconnected):
+        raise DisconnectedInputError(
+            f"extend_census needs connected graphs; graph {disconnected[0]} "
+            "is not connected")
+    complete = len(graphs) == KNOWN_CONNECTED_COUNTS[m] and len(
+        {_canonical_mask(g.neighbor_masks()) for g in graphs}) == len(graphs)
+    return _extend(m, bits, complete)
 
 
 # ---------------------------------------------------------------------------

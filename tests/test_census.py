@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from specgap import census, eigen, graph6
 from specgap.census import (
     KNOWN_CONNECTED_COUNTS,
+    DisconnectedInputError,
     EmptySourceError,
     Graph6FileError,
     Graph6Source,
@@ -220,6 +221,74 @@ def test_extend_census(census4, census5, census6, census7):
         extend_census([Graph(3, 3), Graph(4, 7)])
     with pytest.raises(OrderTooLargeError):
         extend_census([Graph(8, 1)])
+
+
+def test_extend_census_rejects_disconnected_input(census4):
+    two_edges = from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedInputError, match="graph 0 is not"):
+        extend_census([two_edges])
+    with pytest.raises(DisconnectedInputError, match="graph 6 is not"):
+        extend_census([*census4, two_edges])
+    assert issubclass(DisconnectedInputError, ValueError)
+
+
+def _brute_extension(graphs):
+    """Canonical bits of every nonempty attach set of every graph, sorted."""
+    m = graphs[0].order
+    return sorted({canonical_bits(Graph(m + 1, g.bits | attach << pair_count(m)))
+                   for g in graphs for attach in range(1, 1 << m)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_extend_census_matches_brute_force(census4, census5, census6, data):
+    # relabeled inputs exercise twin pruning off the canonical labeling; a
+    # draw of all six order-4 classes takes the canonical-deletion filter,
+    # the other draws the path without it
+    whole = data.draw(st.sampled_from([census4, census5, census6]))
+    m = whole[0].order
+    size = data.draw(st.integers(1, min(20, len(whole))))
+    picks = data.draw(st.permutations(range(len(whole))))[:size]
+    graphs = [relabel(whole[k], data.draw(st.permutations(range(m))))
+              for k in picks]
+    assert [g.bits for g in extend_census(graphs)] == _brute_extension(graphs)
+
+
+def _count_searches(monkeypatch):
+    calls = [0]
+    search = census._canonical_mask
+
+    def counted(nb):
+        calls[0] += 1
+        return search(nb)
+
+    monkeypatch.setattr(census, "_canonical_mask", counted)
+    return calls
+
+
+def test_extend_census_of_a_relabeled_shuffled_census(census4, census6, census7,
+                                                      monkeypatch):
+    rng = np.random.default_rng(6)
+    graphs = [relabel(g, rng.permutation(6).tolist()) for g in census6]
+    rng.shuffle(graphs)
+    calls = _count_searches(monkeypatch)
+    assert extend_census(graphs) == census7
+    assert calls[0] < 2000  # the canonical-deletion filter ran
+    # as many graphs as classes, but one class twice: no filter, same classes
+    graphs = [*census4[1:], relabel(census4[1], [3, 2, 1, 0])]
+    assert [g.bits for g in extend_census(graphs)] == _brute_extension(graphs)
+
+
+def test_enumeration_searches_few_candidates(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    assert len(enumerate_connected(7)) == 853
+    assert calls[0] <= 2000  # one search per candidate made 7,815
+
+
+def test_enumeration_checks_each_count(monkeypatch):
+    monkeypatch.setitem(census.KNOWN_CONNECTED_COUNTS, 5, 20)
+    with pytest.raises(RuntimeError, match="order 5: built 21 classes, not 20"):
+        enumerate_connected(6)
 
 
 @pytest.mark.slow
