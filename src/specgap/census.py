@@ -4,6 +4,8 @@ Each isomorphism class is represented by its canonical graph: the smallest
 edge bitset over all vertex relabelings, found by an exact
 individualization-refinement search (labels assigned from the highest down,
 candidates restricted by an ordered partition of the unlabeled vertices).
+_canonical_forms runs that search for a whole block of graphs at once in
+numpy, level by level, and is the one source of canonical forms.
 extend_census grows a complete order-m census to order m+1 by attaching a
 new vertex in every possible way and keeping one canonical graph per class
 (complete, because every connected graph has a non-cut vertex).  As in
@@ -59,6 +61,7 @@ HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
 CHUNK_SIZE = 2048  # graphs per eigensolved chunk unless a caller says otherwise
 EXTEND_BLOCK = 512  # about this many candidate rows per block of _extend
+FORM_MAX_ORDER = 11  # int64 canonical forms hold pair_count(11) = 55 bits
 
 # connected graphs per order, for reporting and self-checks (OEIS A001349)
 KNOWN_CONNECTED_COUNTS = {
@@ -90,9 +93,23 @@ class Graph6FileError(ValueError):
 # ---------------------------------------------------------------------------
 # canonical forms by individualization-refinement
 
-def _canonical_mask(nb: Sequence[int]) -> int:
-    """Smallest edge bitset over all relabelings of the graph with these
-    per-vertex neighbor masks.
+@functools.lru_cache(maxsize=16)
+def _mask_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per vertex mask of order m: its bits, their number (uint8), that
+    many low bits set, and its bits spread out to one per 4-bit nibble;
+    computed once per order and read-only, since callers share them."""
+    members = (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+    popcount = members.sum(1, dtype=np.uint8)
+    low_ones = (np.uint16(1) << popcount) - np.uint16(1)
+    tables = (members, popcount, low_ones, members @ (1 << 4 * np.arange(m)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _canonical_forms(m: int, bits: np.ndarray) -> np.ndarray:
+    """Per row of an order-m pair-bit batch, the smallest edge bitset over
+    all relabelings of that graph, as int64.
 
     Bits are column-major, so the column of the highest label outranks every
     lower one.  Labels are handed out from the top down while an ordered
@@ -103,50 +120,79 @@ def _canonical_mask(nb: Sequence[int]) -> int:
     cell, so only its neighbor count per cell matters.  Every candidate
     reaching the minimal column survives, and every cell then splits into
     neighbors (below) and non-neighbors (above).  The search runs level by
-    level over all surviving partitions, so it is exact; partitions reached
-    twice are merged (the remaining columns depend on nothing else), and a
-    candidate whose twin (same neighbors apart from each other) was already
-    tried is skipped, since swapping twins is an automorphism that fixes the
-    partition.
+    level over all surviving partitions, so it is exact; partitions of one
+    row reached twice are merged (the remaining columns depend on nothing
+    else), and a candidate with a lower twin (same neighbors apart from
+    each other) in the top cell is skipped: swapping twins is an
+    automorphism that fixes the partition, and twins form an equivalence,
+    so the lowest of them in the cell stands for all.
+
+    Every row's search runs at once, level by level.  A state is a row
+    number and its partition, held as uint16 vertex masks, one per cell
+    (the arrays are cells by states); the states of a row are adjacent.
+    Per level: the (state, candidate) pairs, each candidate's column from
+    a lookup of its neighbor count in every cell, each row's minimal column
+    by np.minimum.reduceat over its pairs, and the split partitions of the
+    pairs that reach it, deduped per row by sorting int64 keys: the row
+    number above one 4-bit nibble per vertex, the 1-based rank of its cell
+    (0 once labeled).  Rows never interact.  Forms are exact up to order
+    FORM_MAX_ORDER (55 pair bits), and the keys hold up to 2^(63 - 4m)
+    rows; ValueError beyond either.
     """
-    m = len(nb)
-    states = {((1 << m) - 1,)}
-    out = 0
+    n = len(bits)
+    if m > FORM_MAX_ORDER or n >> (63 - 4 * m):
+        raise ValueError(f"canonical forms of {n} rows of order {m} overflow "
+                         "int64")
+    out = np.zeros(n, np.int64)
+    if m < 2 or not n:
+        return out
+    vert = np.arange(m)
+    weight = (1 << vert).astype(np.uint16)
+    nb = np.packbits(_adjacency(m, bits, np.uint8, 16), axis=2,
+                     bitorder="little").view("<u2")[:, :, 0]
+    pair = weight[:, None] | weight
+    lower = (nb[:, :, None] ^ nb[:, None, :]) & ~pair == 0
+    lower &= vert[:, None] > vert
+    lowtwin = (lower * weight).sum(2, dtype=np.uint16)
+    members, popcount, low_ones, nibbles = _mask_tables(m)
+    row = every = np.arange(n)
+    cells = np.full((1, n), (1 << m) - 1, np.uint16)
+    top = np.zeros(n, np.intp)
     for k in range(m - 1, 0, -1):
-        best = -1
-        survivors: set[tuple[int, ...]] = set()
-        for cells in states:
-            top = cells[-1]
-            tried: list[int] = []
-            rest = top
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                nu = nb[u]
-                if any(nu & ~(1 << w) == nb[w] & ~low for w in tried):
-                    continue
-                tried.append(u)
-                col = 0
-                base = 0
-                split: list[int] = []
-                for cell in cells[:-1] + (top ^ low,):
-                    if not cell:
-                        continue
-                    inner = cell & nu
-                    col |= ((1 << inner.bit_count()) - 1) << base
-                    base += cell.bit_count()
-                    if inner:
-                        split.append(inner)
-                    if inner != cell:
-                        split.append(cell ^ inner)
-                if best < 0 or col < best:
-                    best = col
-                    survivors = {tuple(split)}
-                elif col == best:
-                    survivors.add(tuple(split))
-        out |= best << (k * (k - 1) // 2)
-        states = survivors
+        # candidates: the top cell's vertices without a lower twin there
+        topmask = cells[top, np.arange(len(top))]
+        state, u = np.nonzero(np.take(members, topmask, 0)
+                              & (np.take(lowtwin, row, 0) & topmask[:, None] == 0))
+        prow = np.take(row, state)
+        nbu = np.take(nb, prow * m + u)
+        # a candidate's neighbors take the lowest labels of each cell
+        size = np.take(popcount, cells)
+        base = np.cumsum(size, 0, dtype=np.uint16) - size
+        col = (np.take(low_ones, np.take(cells, state, 1) & nbu)
+               << np.take(base, state, 1)).sum(0, np.uint16)
+        best = np.minimum.reduceat(col, np.searchsorted(prow, every))
+        out |= best.astype(np.int64) << (k * (k - 1) // 2)
+        if k == 1:
+            break
+        keep = np.flatnonzero(col == np.take(best, prow))
+        state, u, prow, nbu = state[keep], u[keep], prow[keep], nbu[keep]
+        # every cell splits into u's neighbors, then the rest without u
+        cell = np.take(cells, state, 1)
+        inner = cell & nbu
+        split = np.stack((inner, (cell ^ inner) & ~weight[u]), 1).reshape(-1, len(keep))
+        # one state per distinct partition of a row, its empty cells dropped
+        rank = np.cumsum(split != 0, 0, dtype=np.int8)
+        keys = (rank * np.take(nibbles, split)).sum(0) | prow << 4 * m
+        order = np.argsort(keys)
+        keys = keys[order]
+        order = order[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        row = prow[order]
+        split, rank = np.take(split, order, 1), np.take(rank, order, 1)
+        top = rank[-1] - 1
+        cells = np.zeros((len(split) + 1, len(order)), np.uint16)
+        slot = np.where(split != 0, rank, 0).astype(np.intp) * len(order)
+        np.put(cells, slot + np.arange(len(order)), split)
+        cells = cells[1:top.max() + 2]
     return out
 
 
@@ -160,10 +206,10 @@ def _check_canon_order(order: int) -> None:
 def canonical_bits(g: Graph) -> int:
     """Smallest edge bitset over all relabelings of g (order <= 8).
 
-    Computed by the exact refinement search of _canonical_mask.
+    Computed by the exact refinement search of _canonical_forms.
     """
     _check_canon_order(g.order)
-    return _canonical_mask(g.neighbor_masks())
+    return int(_canonical_forms(*_pair_bits([g]))[0])
 
 
 def _vertex_keys(adj: np.ndarray) -> np.ndarray:
@@ -193,7 +239,8 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
     connected order-(m+1) class, a non-cut vertex w of largest key deletes
     to some parent's class, and the candidate that attaches the new vertex
     where w sat (up to twin swaps) has only cut vertices above its new
-    one.  Only the candidates left run the refinement search.
+    one.  Only the candidates left run the refinement search, pooled
+    across blocks into calls of about EXTEND_BLOCK rows.
     """
     attach = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8)
     nb = _neighbors(m, parents)
@@ -201,6 +248,7 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
     others = [np.flatnonzero((ju != w) & (iu != w)) for w in range(m)]
     group = -(-EXTEND_BLOCK // len(attach))
     classes: set[int] = set()
+    pending: list[np.ndarray] = []
     for start in range(0, len(parents), group):
         block = slice(start, start + group)
         keep = np.ones((len(parents[block]), len(attach)), bool)
@@ -211,16 +259,17 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
                 keep &= ~(twins[:, None] & (attach[:, b] > attach[:, a]))
         rows_of, attach_of = np.nonzero(keep)
         rows = np.concatenate([parents[block][rows_of], attach[attach_of]], axis=1)
-        adj = _adjacency(m + 1, rows, np.uint8)
         if complete:
-            keys = _vertex_keys(adj)
+            keys = _vertex_keys(_adjacency(m + 1, rows, np.uint8))
             ok = np.ones(len(rows), bool)
             for w in range(m):
                 hit = ok & (keys[:, w] > keys[:, m])
                 ok[hit] = ~_connected_rows(m, rows[hit][:, others[w]])
-            adj = adj[ok]
-        classes.update(map(_canonical_mask,
-                           (adj << np.arange(m + 1)).sum(2).tolist()))
+            rows = rows[ok]
+        pending.append(rows)
+        if sum(map(len, pending)) >= EXTEND_BLOCK or start + group >= len(parents):
+            classes.update(_canonical_forms(m + 1, np.concatenate(pending)).tolist())
+            pending = []
     return [Graph(m + 1, b) for b in sorted(classes)]
 
 
@@ -277,7 +326,7 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
             f"extend_census needs connected graphs; graph {disconnected[0]} "
             "is not connected")
     complete = len(graphs) == KNOWN_CONNECTED_COUNTS[m] and len(
-        {_canonical_mask(g.neighbor_masks()) for g in graphs}) == len(graphs)
+        set(_canonical_forms(m, bits).tolist())) == len(graphs)
     return _extend(m, bits, complete)
 
 

@@ -119,10 +119,14 @@ def test_canonical_bits_matches_oracle_exhaustively(m):
         assert canonical_bits(Graph(m, bits)) == _oracle(m, bits), bits
 
 
+def _random_masks(m, count):
+    rng = np.random.default_rng(1000 + m)
+    return rng.integers(0, 1 << pair_count(m), size=count).tolist()
+
+
 @pytest.mark.parametrize("m,count", [(6, 300), (7, 200), (8, 200)])
 def test_canonical_bits_matches_oracle_on_random_masks(m, count):
-    rng = np.random.default_rng(1000 + m)
-    for bits in rng.integers(0, 1 << pair_count(m), size=count).tolist():
+    for bits in _random_masks(m, count):
         assert canonical_bits(Graph(m, bits)) == _oracle(m, bits), bits
 
 
@@ -162,6 +166,60 @@ def test_canonical_bits_properties(case):
     assert canonical_bits(relabel(g, perm)) == c
     assert canonical_bits(Graph(g.order, c)) == c
     assert c <= g.bits
+
+
+@pytest.mark.parametrize("m,count", [(6, 300), (7, 200), (8, 200)])
+def test_canonical_forms_rows_never_interact(m, count):
+    masks = _random_masks(m, count)
+    _, bits = _pair_bits([Graph(m, b) for b in masks])
+    whole = census._canonical_forms(m, bits)
+    assert whole.dtype == np.int64
+    assert whole.tolist() == [_oracle(m, b) for b in masks]
+    order = np.random.default_rng(m).permutation(count)
+    for size in (1, 7, count):
+        got = np.concatenate([census._canonical_forms(m, bits[order[k:k + size]])
+                              for k in range(0, count, size)])
+        assert got.tolist() == whole[order].tolist(), size
+
+
+def test_canonical_forms_up_to_their_int64_bound():
+    assert census.FORM_MAX_ORDER == 11  # pair_count(11) = 55 bits
+    rng = np.random.default_rng(11)
+    for m in (10, 11):
+        g = Graph(m, int(rng.integers(0, 1 << pair_count(m))))
+        moved = relabel(g, rng.permutation(m).tolist())
+        first, second = census._canonical_forms(*_pair_bits([g, moved])).tolist()
+        assert first == second <= g.bits and first.bit_count() == g.edge_count
+    with pytest.raises(ValueError, match="overflow"):
+        census._canonical_forms(12, np.zeros((1, pair_count(12)), np.uint8))
+    # the state keys hold 2^(63 - 4m) rows: 2^19 at order 11
+    too_many = np.broadcast_to(np.zeros(pair_count(11), np.uint8), (1 << 19, 55))
+    with pytest.raises(ValueError, match="overflow"):
+        census._canonical_forms(11, too_many)
+    k11 = complete(11)
+    assert census._canonical_forms(*_pair_bits([k11])).tolist() == [k11.bits]
+    assert census._canonical_forms(3, np.zeros((0, 3), np.uint8)).size == 0
+
+
+@st.composite
+def _graphs_and_perms(draw):
+    m = draw(st.integers(1, 9))
+    masks = draw(st.lists(st.integers(0, (1 << pair_count(m)) - 1),
+                          min_size=1, max_size=6))
+    return m, masks, [draw(st.permutations(range(m))) for _ in masks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs_and_perms())
+def test_canonical_forms_of_relabeled_rows(case):
+    # orders up to 9, past canonical_bits and the brute-force oracle
+    m, masks, perms = case
+    graphs = [Graph(m, b) for b in masks]
+    forms = census._canonical_forms(*_pair_bits(graphs)).tolist()
+    moved = [relabel(g, p) for g, p in zip(graphs, perms)]
+    assert census._canonical_forms(*_pair_bits(moved)).tolist() == forms
+    for g, form in zip(graphs, forms):
+        assert form.bit_count() == g.edge_count and form <= g.bits
 
 
 # sha256 prefixes of the comma-joined enumeration bits, as a min over all m!
@@ -233,10 +291,12 @@ def test_extend_census_rejects_disconnected_input(census4):
 
 
 def _brute_extension(graphs):
-    """Canonical bits of every nonempty attach set of every graph, sorted."""
+    """Canonical bits of every nonempty attach set of every graph, sorted;
+    one batch search over all of them, as canonical_bits would find each."""
     m = graphs[0].order
-    return sorted({canonical_bits(Graph(m + 1, g.bits | attach << pair_count(m)))
-                   for g in graphs for attach in range(1, 1 << m)})
+    _, bits = _pair_bits([Graph(m + 1, g.bits | attach << pair_count(m))
+                          for g in graphs for attach in range(1, 1 << m)])
+    return sorted(set(census._canonical_forms(m + 1, bits).tolist()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,14 +315,15 @@ def test_extend_census_matches_brute_force(census4, census5, census6, data):
 
 
 def _count_searches(monkeypatch):
+    """Rows handed to the batch refinement search, one per searched graph."""
     calls = [0]
-    search = census._canonical_mask
+    search = census._canonical_forms
 
-    def counted(nb):
-        calls[0] += 1
-        return search(nb)
+    def counted(m, bits):
+        calls[0] += len(bits)
+        return search(m, bits)
 
-    monkeypatch.setattr(census, "_canonical_mask", counted)
+    monkeypatch.setattr(census, "_canonical_forms", counted)
     return calls
 
 
