@@ -212,17 +212,6 @@ def canonical_bits(g: Graph) -> int:
     return int(_canonical_forms(*_pair_bits([g]))[0])
 
 
-def _vertex_keys(adj: np.ndarray) -> np.ndarray:
-    """Per graph of an (n, m, m) 0/1 adjacency stack, per vertex: its
-    degree, its neighbors' degree sum and twice its triangle count, packed
-    into one integer in that order of precedence.  Relabeling a graph
-    permutes its keys, so comparing keys is an isomorphism invariant."""
-    deg = adj.sum(2)
-    nds = np.matmul(adj, deg[:, :, None])[:, :, 0]
-    tri = (np.matmul(adj, adj) * adj).sum(2)
-    return deg << 32 | nds << 16 | tri
-
-
 def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
     """Canonical classes of the one-vertex extensions of the connected
     order-m graphs with these pair bits, ascending bits.
@@ -234,16 +223,19 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
     each other) is an automorphism, so of the attach sets it exchanges
     only the one holding the lower twin is built.  Canonical-deletion
     filter, when complete (the parents hold every connected class of order
-    m): a candidate H is dropped when an old vertex w outranks the new one
-    by _vertex_keys and H - w is connected.  Nothing is lost: in every
-    connected order-(m+1) class, a non-cut vertex w of largest key deletes
-    to some parent's class, and the candidate that attaches the new vertex
-    where w sat (up to twin swaps) has only cut vertices above its new
-    one.  Only the candidates left run the refinement search, pooled
-    across blocks into calls of about EXTEND_BLOCK rows.
+    m): a candidate H is dropped when an old vertex w has a larger degree
+    in H than the new one and H - w is connected.  H's degrees come from
+    the parent's: deg(i) + s_i for an old vertex i, |s| for the new one,
+    where s is the attach column.  Nothing is lost: in every connected
+    order-(m+1) class, a non-cut vertex w of largest degree deletes to some
+    parent's class, and the candidate that attaches the new vertex where w
+    sat (up to twin swaps) has only cut vertices of larger degree.  Only
+    the candidates left run the refinement search, pooled across blocks
+    into calls of about EXTEND_BLOCK rows.
     """
     attach = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8)
     nb = _neighbors(m, parents)
+    degrees = _adjacency(m, parents, np.uint8).sum(2)
     ju, iu = _pairs(m + 1)
     others = [np.flatnonzero((ju != w) & (iu != w)) for w in range(m)]
     group = -(-EXTEND_BLOCK // len(attach))
@@ -258,12 +250,13 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
                 twins = (nb[a][block] ^ nb[b][block]) & ~pair == 0
                 keep &= ~(twins[:, None] & (attach[:, b] > attach[:, a]))
         rows_of, attach_of = np.nonzero(keep)
-        rows = np.concatenate([parents[block][rows_of], attach[attach_of]], axis=1)
+        column = attach[attach_of]
+        rows = np.concatenate([parents[block][rows_of], column], axis=1)
         if complete:
-            keys = _vertex_keys(_adjacency(m + 1, rows, np.uint8))
+            deg, new = degrees[block][rows_of] + column, column.sum(1)
             ok = np.ones(len(rows), bool)
             for w in range(m):
-                hit = ok & (keys[:, w] > keys[:, m])
+                hit = ok & (deg[:, w] > new)
                 ok[hit] = ~_connected_rows(m, rows[hit][:, others[w]])
             rows = rows[ok]
         pending.append(rows)
@@ -307,7 +300,7 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
     once (twin pruning, for any input).  When the input is the whole
     census, KNOWN_CONNECTED_COUNTS[m] distinct classes, the
     canonical-deletion filter of _extend also drops each candidate whose
-    class another route builds, one that deletes a vertex of larger key;
+    class another route builds, one that deletes a vertex of larger degree;
     for any other input it does not apply, since a connected deletion of a
     candidate need not be one of the input graphs.  Either way the result
     is every class one vertex away from the input.  DisconnectedInputError

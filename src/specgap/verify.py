@@ -227,8 +227,6 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _is_path(g: Graph) -> bool:
-    if g.order == 1:
-        return True
     return (is_connected(g)
             and sorted(g.degrees()) == [1, 1] + [2] * (g.order - 2))
 

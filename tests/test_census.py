@@ -346,6 +346,15 @@ def test_enumeration_searches_few_candidates(monkeypatch):
     assert calls[0] <= 2000  # one search per candidate made 7,815
 
 
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_canonical_deletion_filter_loses_no_class(m):
+    # whole censuses, against the extension that searches every twin-pruned
+    # candidate
+    _, bits = _pair_bits(enumerate_connected(m))
+    assert (census._extend(m, bits, complete=True)
+            == census._extend(m, bits, complete=False))
+
+
 def test_enumeration_checks_each_count(monkeypatch):
     monkeypatch.setitem(census.KNOWN_CONNECTED_COUNTS, 5, 20)
     with pytest.raises(RuntimeError, match="order 5: built 21 classes, not 20"):

@@ -13,6 +13,7 @@ from specgap.graphs import (
     detect_complete_multipartite,
     path,
 )
+from specgap.indices import DegenerateSpectrumError
 from specgap.verify import SWEEP_BLOCK, partitions, run_check
 
 
@@ -88,6 +89,13 @@ def test_classical_extremes_small():
         result = run_check("classical", order)
         assert result.passed, result.failures
         assert result.checked == 5
+
+
+def test_classical_stops_at_order_one_before_any_witness():
+    # K1's only eigenvalue is 0, so the census fails before a witness
+    # predicate is ever asked about a one-vertex graph
+    with pytest.raises(DegenerateSpectrumError, match="^graph @: spectrum"):
+        run_check("classical", 1)
 
 
 def test_classical_extremes_expected_values(tmp_path):
