@@ -49,7 +49,7 @@ import numpy as np
 
 from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _connected_rows, _neighbors,
-                     _pair_bits, _pairs, _to_graphs)
+                     _pair_bits, _pairs, _to_graphs, pair_count)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
                       index_table, indices_batch)
@@ -60,7 +60,7 @@ CANON_MAX_ORDER = 8
 HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
 CHUNK_SIZE = 2048  # graphs per eigensolved chunk unless a caller says otherwise
-EXTEND_BLOCK = 512  # about this many candidate rows per block of _extend
+EXTEND_BLOCK = 2048  # about this many candidates per _extend block and search call
 FORM_MAX_ORDER = 11  # int64 canonical forms hold pair_count(11) = 55 bits
 
 # connected graphs per order, for reporting and self-checks (OEIS A001349)
@@ -212,9 +212,10 @@ def canonical_bits(g: Graph) -> int:
     return int(_canonical_forms(*_pair_bits([g]))[0])
 
 
-def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
-    """Canonical classes of the one-vertex extensions of the connected
-    order-m graphs with these pair bits, ascending bits.
+def _extend(m: int, parents: np.ndarray, complete: bool) -> tuple[int, np.ndarray]:
+    """Order m + 1 and the pair bits of the canonical classes of the
+    one-vertex extensions of the connected order-m graphs with these pair
+    bits, one uint8 row per class, ascending as forms.
 
     A candidate row is its parent's bits followed by the attach column
     (pair (i, m) set iff the new vertex m is joined to i), built for a few
@@ -229,9 +230,9 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
     where s is the attach column.  Nothing is lost: in every connected
     order-(m+1) class, a non-cut vertex w of largest degree deletes to some
     parent's class, and the candidate that attaches the new vertex where w
-    sat (up to twin swaps) has only cut vertices of larger degree.  Only
-    the candidates left run the refinement search, pooled across blocks
-    into calls of about EXTEND_BLOCK rows.
+    sat (up to twin swaps) has only cut vertices of larger degree.  The
+    candidates a block keeps run the refinement search in one call; the
+    distinct forms of all calls are decoded back to pair bits.
     """
     attach = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8)
     nb = _neighbors(m, parents)
@@ -239,8 +240,7 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
     ju, iu = _pairs(m + 1)
     others = [np.flatnonzero((ju != w) & (iu != w)) for w in range(m)]
     group = -(-EXTEND_BLOCK // len(attach))
-    classes: set[int] = set()
-    pending: list[np.ndarray] = []
+    forms = []
     for start in range(0, len(parents), group):
         block = slice(start, start + group)
         keep = np.ones((len(parents[block]), len(attach)), bool)
@@ -259,32 +259,32 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> list[Graph]:
                 hit = ok & (deg[:, w] > new)
                 ok[hit] = ~_connected_rows(m, rows[hit][:, others[w]])
             rows = rows[ok]
-        pending.append(rows)
-        if sum(map(len, pending)) >= EXTEND_BLOCK or start + group >= len(parents):
-            classes.update(_canonical_forms(m + 1, np.concatenate(pending)).tolist())
-            pending = []
-    return [Graph(m + 1, b) for b in sorted(classes)]
+        forms.append(_canonical_forms(m + 1, rows))
+    forms = np.sort(np.concatenate(forms))
+    forms = forms[np.concatenate(([True], forms[1:] != forms[:-1]))]
+    return m + 1, np.unpackbits(forms.astype("<i8").view(np.uint8).reshape(-1, 8),
+                                axis=1, count=pair_count(m + 1), bitorder="little")
 
 
 def enumerate_connected(m: int) -> list[Graph]:
     """All connected graphs on m vertices, one canonical graph per class.
 
-    Built by extending the one-vertex graph one vertex at a time (see
-    extend_census), each step from a complete census, so both of its
-    filters apply; a step that yields other than KNOWN_CONNECTED_COUNTS
-    classes raises RuntimeError.  Returned in ascending bitset order;
-    canonical forms cap it at order CANON_MAX_ORDER.
+    Built as pair bits by extending the one-vertex graph one vertex at a
+    time (see extend_census), each step from a complete census, so both
+    of its filters apply; a step that yields other than
+    KNOWN_CONNECTED_COUNTS classes raises RuntimeError.  Returned in
+    ascending bitset order; canonical forms cap it at order CANON_MAX_ORDER.
     """
     if m < 1:
         raise ValueError("order must be positive")
     _check_canon_order(m)
-    graphs = [Graph(1, 0)]
-    for k in range(2, m + 1):
-        graphs = _extend(*_pair_bits(graphs), complete=True)
-        if len(graphs) != KNOWN_CONNECTED_COUNTS[k]:
-            raise RuntimeError(f"order {k}: built {len(graphs)} classes, "
+    k, bits = 1, np.zeros((1, 0), np.uint8)
+    while k < m:
+        k, bits = _extend(k, bits, complete=True)
+        if len(bits) != KNOWN_CONNECTED_COUNTS[k]:
+            raise RuntimeError(f"order {k}: built {len(bits)} classes, "
                                f"not {KNOWN_CONNECTED_COUNTS[k]}")
-    return graphs
+    return _to_graphs(k, bits)
 
 
 def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
@@ -320,7 +320,7 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
             "is not connected")
     complete = len(graphs) == KNOWN_CONNECTED_COUNTS[m] and len(
         set(_canonical_forms(m, bits).tolist())) == len(graphs)
-    return _extend(m, bits, complete)
+    return _to_graphs(*_extend(m, bits, complete))
 
 
 # ---------------------------------------------------------------------------

@@ -346,13 +346,35 @@ def test_enumeration_searches_few_candidates(monkeypatch):
     assert calls[0] <= 2000  # one search per candidate made 7,815
 
 
+def test_search_calls_stay_within_one_block(census7, monkeypatch):
+    # a block of parents holds under EXTEND_BLOCK + 2**m - 1 candidates (one
+    # parent's attach sets), and only its survivors share a search call
+    calls = []
+    search = census._canonical_forms
+
+    def recorded(order, bits):
+        calls.append((order - 1, len(bits)))
+        return search(order, bits)
+
+    monkeypatch.setattr(census, "_canonical_forms", recorded)
+    enumerate_connected(7)
+    sample = np.random.default_rng(90125).choice(853, 32, replace=False)
+    extend_census([census7[i] for i in sample])
+    assert {m for m, _ in calls} == set(range(1, 8))
+    assert all(rows <= census.EXTEND_BLOCK + 2**m - 2 for m, rows in calls)
+
+
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_canonical_deletion_filter_loses_no_class(m):
     # whole censuses, against the extension that searches every twin-pruned
     # candidate
     _, bits = _pair_bits(enumerate_connected(m))
-    assert (census._extend(m, bits, complete=True)
-            == census._extend(m, bits, complete=False))
+    order, got = census._extend(m, bits, complete=True)
+    unfiltered = census._extend(m, bits, complete=False)
+    assert order == unfiltered[0] == m + 1 and np.array_equal(got, unfiltered[1])
+    assert got.dtype == np.uint8 and got.shape[1] == pair_count(m + 1)
+    forms = [g.bits for g in _to_graphs(order, got)]
+    assert all(a < b for a, b in zip(forms, forms[1:]))
 
 
 def test_enumeration_checks_each_count(monkeypatch):
@@ -368,6 +390,17 @@ def test_extend_census_regenerates_committed_file(census8_path):
     with open(census8_path) as fh:
         stored = [line.strip() for line in fh if line.strip()]
     assert regenerated == stored
+
+
+@pytest.mark.slow
+def test_order9_extension_of_committed_census8(census8_path):
+    # the whole order-9 census: every connected class, pinned by its digest
+    _, bits = _pair_bits(list(Graph6Source(census8_path)))
+    order, got = census._extend(8, bits, complete=True)
+    assert order == 9 and len(got) == KNOWN_CONNECTED_COUNTS[9]
+    assert _connected_rows(9, got).all()
+    text = ",".join(str(g.bits) for g in _to_graphs(9, got))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7d9e795bafed0197"
 
 
 def test_committed_census8(census8_path):
