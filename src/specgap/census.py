@@ -9,9 +9,12 @@ numpy, level by level, and is the one source of canonical forms.
 extend_census grows a complete order-m census to order m+1 by attaching a
 new vertex in every possible way and keeping one canonical graph per class
 (complete, because every connected graph has a non-cut vertex).  As in
-McKay's canonical construction path, numpy passes over blocks of
-candidates drop most of them before their search: twin pruning, and, from
-a complete census, the canonical-deletion filter (see _extend).
+McKay's canonical construction path, most candidates are dropped before
+their search, decided from tables of the parents alone: twin pruning from
+their lower-twin masks and, from a complete census, the canonical-deletion
+filter from their degrees and the component table of every parent with
+one vertex deleted (see _extend).  No candidate is re-analysed before its
+search.
 enumerate_connected runs that extension from the one-vertex graph,
 checking each step's count, up to order 8 (CANON_MAX_ORDER).  The cap
 stays at 8 because order 9 is a step of its own: extending the committed
@@ -48,8 +51,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import eigen, graph6
-from .graphs import (Graph, _adjacency, _connected_rows, _neighbors,
-                     _pair_bits, _pairs, _to_graphs, pair_count)
+from .graphs import (Graph, _adjacency, _connected_rows, _pair_bits,
+                     _to_graphs, pair_count)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
                       index_table, indices_batch)
@@ -107,6 +110,33 @@ def _mask_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return tables
 
 
+def _twin_masks(m: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an order-m pair-bit batch (m <= 16), as (n, m) uint16:
+    each vertex's neighbor mask, and its lower-twin mask, the lower
+    vertices with the same neighbors apart from each other.  Twins form an
+    equivalence, so the lowest vertex of each class has mask 0."""
+    vert = np.arange(m)
+    weight = (1 << vert).astype(np.uint16)
+    nb = np.packbits(_adjacency(m, bits, np.uint8, 16), axis=2,
+                     bitorder="little").view("<u2")[:, :, 0]
+    lower = (nb[:, :, None] ^ nb[:, None, :]) & ~(weight[:, None] | weight) == 0
+    lower &= vert[:, None] > vert
+    return nb, (lower * weight).sum(2, dtype=np.uint16)
+
+
+def _components(m: int, nb: np.ndarray) -> np.ndarray:
+    """From the (n, m) uint16 neighbor masks of connected graphs, the
+    (n, m, m) table whose entry [p, w, v] is the mask of v's component in
+    graph p with w deleted, and all m vertices for v = w (w with the
+    components of its neighbors); by Warshall's closure over the masks
+    with w removed, vertex by vertex."""
+    weight = (1 << np.arange(m)).astype(np.uint16)
+    reach = nb[:, None, :] & ~weight[:, None] | weight
+    for k in range(m):
+        reach |= (reach >> k & 1) * reach[:, :, k, None]
+    return reach
+
+
 def _canonical_forms(m: int, bits: np.ndarray) -> np.ndarray:
     """Per row of an order-m pair-bit batch, the smallest edge bitset over
     all relabelings of that graph, as int64.
@@ -146,14 +176,8 @@ def _canonical_forms(m: int, bits: np.ndarray) -> np.ndarray:
     out = np.zeros(n, np.int64)
     if m < 2 or not n:
         return out
-    vert = np.arange(m)
-    weight = (1 << vert).astype(np.uint16)
-    nb = np.packbits(_adjacency(m, bits, np.uint8, 16), axis=2,
-                     bitorder="little").view("<u2")[:, :, 0]
-    pair = weight[:, None] | weight
-    lower = (nb[:, :, None] ^ nb[:, None, :]) & ~pair == 0
-    lower &= vert[:, None] > vert
-    lowtwin = (lower * weight).sum(2, dtype=np.uint16)
+    weight = (1 << np.arange(m)).astype(np.uint16)
+    nb, lowtwin = _twin_masks(m, bits)
     members, popcount, low_ones, nibbles = _mask_tables(m)
     row = every = np.arange(n)
     cells = np.full((1, n), (1 << m) - 1, np.uint16)
@@ -218,47 +242,43 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> tuple[int, np.ndarra
     bits, one uint8 row per class, ascending as forms.
 
     A candidate row is its parent's bits followed by the attach column
-    (pair (i, m) set iff the new vertex m is joined to i), built for a few
-    parents at a time, about EXTEND_BLOCK rows before pruning.  Twin
+    (pair (i, m) set iff the new vertex m is joined to i, i in the attach
+    set S), built for a few parents at a time, about EXTEND_BLOCK rows
+    before pruning.  Which rows are built is decided from tables of the
+    parents alone (degrees, lower twins by _twin_masks, components by
+    _components), so no candidate is analysed before its search.  Twin
     pruning: swapping two twins of the parent (same neighbors apart from
-    each other) is an automorphism, so of the attach sets it exchanges
-    only the one holding the lower twin is built.  Canonical-deletion
-    filter, when complete (the parents hold every connected class of order
-    m): a candidate H is dropped when an old vertex w has a larger degree
-    in H than the new one and H - w is connected.  H's degrees come from
-    the parent's: deg(i) + s_i for an old vertex i, |s| for the new one,
-    where s is the attach column.  Nothing is lost: in every connected
-    order-(m+1) class, a non-cut vertex w of largest degree deletes to some
-    parent's class, and the candidate that attaches the new vertex where w
-    sat (up to twin swaps) has only cut vertices of larger degree.  The
-    candidates a block keeps run the refinement search in one call; the
-    distinct forms of all calls are decoded back to pair bits.
+    each other) is an automorphism, so S is built only if every vertex of
+    S has its lower twins in S.  Canonical-deletion filter, when complete
+    (the parents hold every connected class of order m): a candidate H is
+    dropped when an old vertex w has a larger degree in H than the new one
+    and H - w is connected.  An old vertex i has degree deg(i) + s_i in H
+    and the new one |S|; H - w is connected iff S meets the component of
+    every other vertex in the parent with w deleted.  Nothing is lost: in
+    every connected order-(m+1) class, a non-cut vertex w of largest degree
+    deletes to some parent's class, and the candidate that attaches the
+    new vertex where w sat (up to twin swaps) has only cut vertices of
+    larger degree.  The candidates a block keeps run the refinement search
+    in one call; the distinct forms of all calls are decoded back to pair
+    bits.
     """
-    attach = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(np.uint8)
-    nb = _neighbors(m, parents)
-    degrees = _adjacency(m, parents, np.uint8).sum(2)
-    ju, iu = _pairs(m + 1)
-    others = [np.flatnonzero((ju != w) & (iu != w)) for w in range(m)]
+    members, popcount = _mask_tables(m)[:2]
+    attach, sets = members[1:].astype(np.uint8), np.arange(1, 1 << m, dtype=np.uint16)
+    nb, lowtwin = _twin_masks(m, parents)
+    degrees = np.take(popcount, nb)
+    reach = _components(m, nb) if complete else None
     group = -(-EXTEND_BLOCK // len(attach))
     forms = []
     for start in range(0, len(parents), group):
         block = slice(start, start + group)
-        keep = np.ones((len(parents[block]), len(attach)), bool)
-        for b in range(1, m):
-            for a in range(b):
-                pair = np.uint64(1 << a | 1 << b)
-                twins = (nb[a][block] ^ nb[b][block]) & ~pair == 0
-                keep &= ~(twins[:, None] & (attach[:, b] > attach[:, a]))
+        # per (parent, S): no vertex of S has a lower twin outside S
+        keep = np.bitwise_or.reduce(lowtwin[block, None] * attach, 2) & ~sets == 0
+        if complete:  # and no vertex w outranks the new one with H - w connected
+            connected = (reach[block, None] & sets[:, None, None] != 0).all(3)
+            outranks = degrees[block, None] + attach > popcount[1:, None]
+            keep &= ~(connected & outranks).any(2)
         rows_of, attach_of = np.nonzero(keep)
-        column = attach[attach_of]
-        rows = np.concatenate([parents[block][rows_of], column], axis=1)
-        if complete:
-            deg, new = degrees[block][rows_of] + column, column.sum(1)
-            ok = np.ones(len(rows), bool)
-            for w in range(m):
-                hit = ok & (deg[:, w] > new)
-                ok[hit] = ~_connected_rows(m, rows[hit][:, others[w]])
-            rows = rows[ok]
+        rows = np.concatenate([parents[block][rows_of], attach[attach_of]], 1)
         forms.append(_canonical_forms(m + 1, rows))
     forms = np.sort(np.concatenate(forms))
     forms = forms[np.concatenate(([True], forms[1:] != forms[:-1]))]

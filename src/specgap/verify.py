@@ -32,7 +32,6 @@ from .graphs import (
     _to_graphs,
     complete_multipartite,
     detect_complete_multipartite,
-    is_connected,
     kmm_minus_e,
     kmm_plus_e,
     pair_count,
@@ -226,9 +225,8 @@ def _is_complete(g: Graph) -> bool:
     return g.bits == (1 << pair_count(g.order)) - 1
 
 
-def _is_path(g: Graph) -> bool:
-    return (is_connected(g)
-            and sorted(g.degrees()) == [1, 1] + [2] * (g.order - 2))
+def _is_path(g: Graph) -> bool:  # census graphs are connected
+    return sorted(g.degrees()) == [1, 1] + [2] * (g.order - 2)
 
 
 def _is_star(g: Graph) -> bool:

@@ -341,9 +341,14 @@ def test_extend_census_of_a_relabeled_shuffled_census(census4, census6, census7,
 
 
 def test_enumeration_searches_few_candidates(monkeypatch):
+    # what the twin pruning and the canonical-deletion filter keep, exactly;
+    # one search per candidate made 7,815 at order 7
     calls = _count_searches(monkeypatch)
     assert len(enumerate_connected(7)) == 853
-    assert calls[0] <= 2000  # one search per candidate made 7,815
+    assert calls[0] == 1685
+    calls[0] = 0
+    assert len(enumerate_connected(8)) == 11117
+    assert calls[0] == 21114
 
 
 def test_search_calls_stay_within_one_block(census7, monkeypatch):
@@ -375,6 +380,43 @@ def test_canonical_deletion_filter_loses_no_class(m):
     assert got.dtype == np.uint8 and got.shape[1] == pair_count(m + 1)
     forms = [g.bits for g in _to_graphs(order, got)]
     assert all(a < b for a, b in zip(forms, forms[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 9), data=st.data())
+def test_parent_tables_match_explicit_candidates(m, data):
+    # random connected parents: random pair bits over a random spanning tree
+    graphs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        perm = data.draw(st.permutations(range(m)))
+        tree = from_edges(m, [(perm[v], perm[data.draw(st.integers(0, v - 1))])
+                              for v in range(1, m)])
+        extra = data.draw(st.integers(0, (1 << pair_count(m)) - 1))
+        graphs.append(Graph(m, tree.bits | extra))
+    _, bits = _pair_bits(graphs)
+    nb, lowtwin = census._twin_masks(m, bits)
+    reach = census._components(m, nb)
+    assert (reach[:, np.arange(m), np.arange(m)] == (1 << m) - 1).all()
+    sets = np.arange(1, 1 << m)
+    attach = (sets[:, None] >> np.arange(m) & 1).astype(np.uint8)
+    ju, iu = np.tril_indices(m, -1)
+    for p, g in enumerate(graphs):
+        # neighbor and lower-twin masks against a pairwise twin test
+        a = g.adjacency()
+        for v in range(m):
+            assert nb[p, v] == g.neighbor_masks()[v]
+            twins = [u for u in range(v)
+                     if all(a[u, x] == a[v, x] for x in range(m) if x not in (u, v))]
+            assert lowtwin[p, v] == sum(1 << u for u in twins)
+        # "H - w connected" against the connectivity of the explicit H - w,
+        # for every attach set and every old vertex w
+        h = _adjacency(m + 1, np.concatenate(
+            [np.repeat(bits[p:p + 1], len(sets), 0), attach], 1), np.uint8)
+        for w in range(m):
+            rest = np.delete(np.arange(m + 1), w)
+            explicit = _connected_rows(m, h[:, rest][:, :, rest][:, ju, iu])
+            table = (reach[p, w] & sets[:, None] != 0).all(1)
+            assert np.array_equal(table, explicit)
 
 
 def test_enumeration_checks_each_count(monkeypatch):
