@@ -51,8 +51,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import eigen, graph6
-from .graphs import (Graph, _adjacency, _connected_rows, _pair_bits,
-                     _to_graphs, pair_count)
+from .graphs import (Graph, _adjacency, _connected_rows, _neighbors,
+                     _pair_bits, _to_graphs, pair_count)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
 from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
                       index_table, indices_batch)
@@ -117,8 +117,7 @@ def _twin_masks(m: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equivalence, so the lowest vertex of each class has mask 0."""
     vert = np.arange(m)
     weight = (1 << vert).astype(np.uint16)
-    nb = np.packbits(_adjacency(m, bits, np.uint8, 16), axis=2,
-                     bitorder="little").view("<u2")[:, :, 0]
+    nb = _neighbors(m, bits).astype(np.uint16, copy=False)
     lower = (nb[:, :, None] ^ nb[:, None, :]) & ~(weight[:, None] | weight) == 0
     lower &= vert[:, None] > vert
     return nb, (lower * weight).sum(2, dtype=np.uint16)
@@ -440,8 +439,12 @@ class Histogram:
 
     def update_many(self, values: np.ndarray) -> None:
         bins = np.floor(np.divide(values, HIST_BIN_WIDTH)).astype(np.int64)
-        uniq, cnt = np.unique(bins, return_counts=True)
-        self.counts.update(dict(zip(uniq.tolist(), cnt.tolist())))
+        if not len(bins):
+            return
+        low = bins.min()
+        cnt = np.bincount(bins - low)
+        hit = np.flatnonzero(cnt)
+        self.counts.update(dict(zip((hit + low).tolist(), cnt[hit].tolist())))
 
     def absorb(self, other: "Histogram") -> None:
         self.counts.update(other.counts)

@@ -10,11 +10,13 @@ A batch of same-order graphs travels as its order and its pair-bit
 matrix, one 0/1 row per graph in bitset order: graph6.decode_block builds
 it from file lines, _pair_bits from a list of graphs (the one check that
 such a list is non-empty and of one order).  Every array of a batch is
-scattered from its pair bits here: adjacency stacks and per-vertex
-neighbor masks (uint64 up to 64 vertices, Python ints beyond).  The
-structure tests run on those masks (_connected_rows, _bipartite_rows,
-_multipartite_rows); bipartition and detect_complete_multipartite are
-their one-graph cases.
+built from its pair bits here: adjacency stacks, and the (n, m) neighbor
+masks of _neighbors, one per graph and vertex in the narrowest unsigned
+word that holds m bits (uint8 up to 8 vertices, then uint16, uint32 and
+uint64, Python ints beyond 64), which census ingestion, extension and
+verify all read.  The structure tests run on those masks, each step over
+the whole batch (_connected_rows, _bipartite_rows, _multipartite_rows);
+bipartition and detect_complete_multipartite are their one-graph cases.
 """
 
 from __future__ import annotations
@@ -254,48 +256,64 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ju, iu
 
 
-def _adjacency(m: int, bits: np.ndarray, dtype=float,
-               width: int | None = None) -> np.ndarray:
-    """The (n, m, m) symmetric 0/1 adjacency matrices of a batch, or its
-    (n, m, width) rows zero-padded on the right."""
-    width = width or m
-    mats = np.zeros((len(bits), m, width), dtype)
-    flat = mats.reshape(len(bits), m * width)
+def _adjacency(m: int, bits: np.ndarray, dtype=float) -> np.ndarray:
+    """The (n, m, m) symmetric 0/1 adjacency matrices of a batch."""
+    mats = np.zeros((len(bits), m, m), dtype)
+    flat = mats.reshape(len(bits), m * m)
     ju, iu = _pairs(m)
-    flat[:, iu * width + ju] = bits
-    flat[:, ju * width + iu] = bits
+    flat[:, iu * m + ju] = bits
+    flat[:, ju * m + iu] = bits
     return mats
 
 
-def _neighbors(m: int, bits: np.ndarray) -> list[np.ndarray]:
-    """For each vertex v, v's neighbor mask in every graph of a batch, as
-    uint64 up to 64 vertices and Python ints beyond: the adjacency rows,
-    padded to whole 8-byte words and packed into their little-endian
-    bytes."""
-    width = 64 * -(-m // 64)
-    rows = np.packbits(_adjacency(m, bits, np.uint8, width), axis=2,
-                       bitorder="little")
-    if m <= 64:
-        masks = rows.view("<u8")[:, :, 0]
-    else:
-        masks = np.array([[int.from_bytes(x, "little") for x in g] for g in rows],
-                         dtype=object)
-    return list(np.ascontiguousarray(masks.T))
+@functools.lru_cache(maxsize=16)
+def _incidence(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex v of order m, as (m, m - 1) tables over the other
+    vertices u: the pair column of {u, v}, and u's bit in v's neighbor
+    mask, in the narrowest unsigned word that holds m bits (Python ints
+    beyond 64); computed once per order and read-only, since callers
+    share them."""
+    k, v = np.arange(m - 1), np.arange(m)[:, None]
+    other = k + (k >= v)
+    hi, lo = np.maximum(other, v), np.minimum(other, v)
+    word = next((w for w in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if m <= np.iinfo(w).bits), object)
+    columns = hi * (hi - 1) // 2 + lo
+    weights = (1 << other.astype(object)).astype(word)
+    columns.flags.writeable = weights.flags.writeable = False
+    return columns, weights
 
 
-def _bfs(nb: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bitmask breadth-first search from vertex 0, for a whole batch at once.
+def _neighbors(m: int, bits: np.ndarray) -> np.ndarray:
+    """The (n, m) neighbor masks of a batch: entry [g, v] has bit u set iff
+    u and v are adjacent in graph g, in the narrowest unsigned word that
+    holds m bits (Python ints beyond 64).  Each mask gathers its vertex's
+    m - 1 pair columns, each weighted by the other endpoint's bit; the
+    weights are distinct powers of two, so their sum is exact."""
+    columns, weights = _incidence(m)
+    return (bits[:, columns] * weights).sum(2, dtype=weights.dtype)
+
+
+def _unpack(masks: np.ndarray, m: int) -> np.ndarray:
+    """Bits 0..m-1 of every mask, as 0/1 of the masks' dtype on a new
+    first axis."""
+    vert = np.arange(m).astype(masks.dtype)
+    return masks >> vert.reshape(m, *[1] * masks.ndim) & 1
+
+
+def _bfs(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bitmask breadth-first search from vertex 0, for a batch's (n, m)
+    neighbor masks at once, one whole layer per step.
 
     Per graph: the vertices reached, those at even distance from vertex 0,
     and whether an edge joins two vertices of one layer (an odd cycle).
     """
+    nb = np.ascontiguousarray(nb.T)  # vertex-major: each op runs along the batch
     layers = [np.ones_like(nb[0]), np.zeros_like(nb[0])]  # even, odd
-    clash = np.zeros_like(nb[0])
+    clash = np.zeros_like(layers[0])
     frontier, depth = layers[0], 0
     while frontier.any():
-        step = np.zeros_like(frontier)
-        for v, x in enumerate(nb):
-            step |= x * ((frontier >> v) & 1)
+        step = np.bitwise_or.reduce(nb * _unpack(frontier, len(nb)), 0)
         clash |= step & frontier
         depth += 1
         frontier = step & ~(layers[0] | layers[1])
@@ -316,13 +334,12 @@ def _bipartite_rows(m: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (reached == (1 << m) - 1) & ~clash, even
 
 
-def _multipartite_rows(nb: list[np.ndarray]) -> np.ndarray:
+def _multipartite_rows(nb: np.ndarray) -> np.ndarray:
     """Which graphs of a batch (its _neighbors masks) are complete
     multipartite with at least two parts: those with an edge in which every
     two non-adjacent vertices have the same neighbors (non-adjacency is then
     an equivalence relation, and its classes are the parts)."""
-    ok = np.logical_or.reduce([x != 0 for x in nb])
-    for v in range(1, len(nb)):
-        for u in range(v):
-            ok &= (((nb[u] >> v) & 1) != 0) | (nb[u] == nb[v])
-    return ok
+    nb = np.ascontiguousarray(nb.T)  # [v, g], as in _bfs
+    adjacent = _unpack(nb, len(nb)) != 0  # [u, v, g]: u in v's mask
+    same = nb[:, None] == nb
+    return (nb != 0).any(0) & (adjacent | same).all((0, 1))

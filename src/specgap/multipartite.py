@@ -34,7 +34,7 @@ import numpy as np
 
 from . import eigen
 from .graphs import (Graph, _adjacency, _bfs, _multipartite_rows, _neighbors,
-                     _pair_bits)
+                     _pair_bits, _unpack)
 from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
 from .indices import (SpectralIndices, _require_signs, compute_indices,
                       index_rows, index_table)
@@ -522,7 +522,7 @@ def _bipartite_columns(m: int, bits: np.ndarray) -> tuple:
     # complete bipartite when it has a (m - a) > 0 edges
     reached, even, clash = _bfs(_neighbors(m, bits))
     edges = bits.sum(axis=1)
-    side = sum((even >> v) & 1 for v in range(m))
+    side = _unpack(even, m).sum(0, dtype=np.int64)
     why = np.full(len(bits), "", object)
     why[(0 < edges) & (edges == side * (m - side))] = "graph is complete bipartite"
     why[clash] = "graph is not bipartite"

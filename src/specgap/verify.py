@@ -39,10 +39,14 @@ from .graphs import (
 from .indices import compute_indices
 
 _TOL = 1e-8
-# census graphs per batched bound check; at 256 the transient arrays of a
-# vertex-add block (order-8 eigenvectors, order-9 stacks) pass glibc's heap
-# trim threshold, so each block gave its pages back and faulted them in again
-SWEEP_BLOCK = 128
+# census graphs per batched bound check.  Each block pays a fixed numpy
+# cost per bound column, so fewer blocks are faster: on connected8.g6
+# (2 vCPUs, one BLAS thread) prop2a, bipartite-bound and vertex-add spent
+# 0.09-0.10 s outside LAPACK at 512 against 0.14-0.18 s at 128, with the
+# same peak RSS.  Larger blocks gained little more, and their transient
+# arrays (order-8 eigenvectors, order-9 stacks of vertex-add) raised peak
+# RSS by 0.6 MB at 1024 and 3.2 MB at 2048.
+SWEEP_BLOCK = 512
 
 
 class NoCensusError(ValueError):
@@ -114,8 +118,9 @@ def _sweep(order: int, path: str | None,
         skipped += len(bits) - int(ok.sum())
         rows, fail = np.nonzero(np.column_stack(
             [ok & ~holds for _, holds, _ in columns]))
-        failures += [bounds[k][0] + graph6.encode(g)
-                     for g, k in zip(_to_graphs(m, bits[rows]), fail.tolist())]
+        if len(rows):
+            failures += [bounds[k][0] + graph6.encode(g) for g, k in
+                         zip(_to_graphs(m, bits[rows]), fail.tolist())]
     return checked, skipped, tuple(failures)
 
 

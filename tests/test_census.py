@@ -912,6 +912,10 @@ def test_histogram_binning():
     assert rows[1] == (pytest.approx(0.1), pytest.approx(0.2), 1)
     assert rows[2] == (pytest.approx(2.3), pytest.approx(2.4), 1)
     assert sum(h.counts.values()) == 4
+    h.update_many(np.array([]))
+    assert h.counts == {0: 2, 1: 1, 23: 1}
+    h.update_many(np.array([-0.05, -2.31, 0.06]))
+    assert h.counts == {-24: 1, -1: 1, 0: 3, 1: 1, 23: 1}
 
 
 def test_histogram_absorb():

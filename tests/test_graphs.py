@@ -280,6 +280,54 @@ def test_batch_structure_exhaustive_small_orders(order):
     _check_structure([Graph(order, b) for b in range(1 << pair_count(order))])
 
 
+def _is_multipartite_by_definition(g):
+    """At least one edge, and every two non-adjacent vertices have the same
+    neighbors."""
+    nb = g.neighbor_masks()
+    return g.bits != 0 and all(
+        nb[u] == nb[v] for v in range(g.order) for u in range(v)
+        if not nb[u] >> v & 1)
+
+
+# the orders on both sides of every neighbor-mask word width
+@pytest.mark.parametrize("order", [1, 2, 8, 9, 16, 17, 32, 33, 64, 65])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_mask_tests_at_the_word_width_edges(order, data):
+    n = pair_count(order)
+    dense = data.draw(st.integers(0, (1 << n) - 1))
+    sparse = dense & data.draw(st.integers(0, (1 << n) - 1))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=order,
+                                max_size=order))
+    parent = [data.draw(st.integers(0, v - 1)) for v in range(1, order)]
+    tree = from_edges(order, [(v, parent[v - 1]) for v in range(1, order)])
+    few = data.draw(st.integers(1, order))  # vertices from few on are isolated
+    batch = [Graph(order, dense), Graph(order, sparse & (sparse >> 1)),
+             Graph(order, dense % (1 << pair_count(few))), tree,
+             Graph(order, tree.bits | sparse),
+             _labelled(order, labels),
+             _labelled(order, [x % 2 for x in labels], sparse),
+             complete(order), Graph(order, 0)]
+    m, bits = graphs._pair_bits(batch)
+    nb = graphs._neighbors(m, bits)
+    widths = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
+    assert nb.dtype == next((np.dtype(w) for b, w in widths.items()
+                             if order <= b), np.dtype(object))
+    assert nb.shape == (len(batch), order)
+    assert [list(map(int, row)) for row in nb] == [g.neighbor_masks()
+                                                   for g in batch]
+    assert graphs._connected_rows(m, bits).tolist() == [is_connected(g)
+                                                        for g in batch]
+    bipartite, even = graphs._bipartite_rows(m, bits)
+    for g, bip, side in zip(batch, bipartite.tolist(), even.tolist()):
+        sides = _two_colouring(g)
+        assert bip == (sides is not None), g
+        if sides is not None:
+            assert side == sum(1 << v for v in sides[0]), g
+    assert graphs._multipartite_rows(nb).tolist() == [
+        _is_multipartite_by_definition(g) for g in batch]
+
+
 @pytest.mark.parametrize("order", [12, 13])
 def test_batch_structure_past_the_edge_mask_cut(order):
     rng = np.random.default_rng(order)

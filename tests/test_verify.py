@@ -202,12 +202,31 @@ def test_vertex_add_failures_keep_file_order_across_blocks(
         tmp_path, census7, monkeypatch):
     # a slack this negative fails every cone and every pendant report
     monkeypatch.setattr(multipartite, "_SLACK", -1e9)
-    graphs = census7[:2 * SWEEP_BLOCK + 37]
+    graphs = [census7[i % len(census7)] for i in range(2 * SWEEP_BLOCK + 37)]
     result = run_check("vertex-add", 7, _g6_file(tmp_path, graphs))
     assert (result.checked, result.skipped) == (len(graphs), 0)
     assert result.failures == tuple(
         tag + graph6.encode(g) for g in graphs for tag in ("cone:", "pendant:")
     )
+
+
+@pytest.mark.parametrize("check", ["prop2a", "bipartite-bound", "vertex-add"])
+def test_sweep_tally_does_not_depend_on_the_block_size(
+        tmp_path, census6, monkeypatch, check):
+    # every checked graph fails, so the failure tags show the sweep order
+    monkeypatch.setattr(multipartite, "_SLACK", -1e9)
+    graphs = [census6[i % len(census6)] for i in range(SWEEP_BLOCK + 37)]
+    f = _g6_file(tmp_path, graphs)
+    tallies = {}
+    for block in (1, 7, 128, SWEEP_BLOCK):
+        monkeypatch.setattr(verify, "SWEEP_BLOCK", block)
+        r = run_check(check, 6, f)
+        tallies[block] = (r.checked, r.skipped, r.failures)
+    first = tallies[1]
+    assert first[0] > 0
+    assert len(first[2]) == first[0] * (2 if check == "vertex-add" else 1)
+    assert first[0] + first[1] == len(graphs)
+    assert all(tally == first for tally in tallies.values())
 
 
 def test_prop2a_skips_a_block_without_an_eigensolve(
