@@ -256,9 +256,9 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ju, iu
 
 
-def _adjacency(m: int, bits: np.ndarray, dtype=float) -> np.ndarray:
+def _adjacency(m: int, bits: np.ndarray) -> np.ndarray:
     """The (n, m, m) symmetric 0/1 adjacency matrices of a batch."""
-    mats = np.zeros((len(bits), m, m), dtype)
+    mats = np.zeros((len(bits), m, m))
     flat = mats.reshape(len(bits), m * m)
     ju, iu = _pairs(m)
     flat[:, iu * m + ju] = bits

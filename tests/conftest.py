@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from specgap import census
@@ -33,3 +34,13 @@ def census8_path():
     if not os.path.exists(path):
         pytest.skip("committed order-8 census file missing")
     return path
+
+
+@pytest.fixture(scope="session")
+def census9(census8_path):
+    """The order-9 census as (9, pair bits), one row per class, ascending
+    as forms: the whole extension of the committed order-8 census, built
+    once per session."""
+    source = census.Graph6Source(census8_path)
+    bits = np.concatenate([bits for _, bits, _ in source._batches()])
+    return census._extend(8, bits, complete=True)

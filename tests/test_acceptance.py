@@ -4,7 +4,7 @@ Nine numbered suites covering enumeration counts, reproduction of the
 published order-by-order index statistics, statistics conventions, analytic
 spectra against dense eigensolves, perturbation families with their limits,
 bound verification, gap density search, the connected-graph count formula,
-and large-file streaming throughput.
+and the census of all connected order-9 graphs.
 
 The reference statistics table prints four decimals but mixes rounding with
 truncation, and its min/max rows for the derived indices were evidently
@@ -17,7 +17,6 @@ spectrum rounded to four decimals reproduces the printed value exactly.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -25,7 +24,7 @@ import pytest
 
 from specgap import census, eigen, graph6, multipartite as mp
 from specgap.census import Graph6Source, enumerate_connected, extremal, run_census
-from specgap.graphs import Graph, complete_multipartite, is_connected, kmm_minus_e, kmm_plus_e
+from specgap.graphs import _to_graphs, complete_multipartite, kmm_minus_e, kmm_plus_e
 from specgap.indices import IndexStats, compute_indices
 from specgap.verify import partitions, run_check
 
@@ -283,38 +282,53 @@ def test_accept_8_approx_count():
 
 
 # ---------------------------------------------------------------------------
-# 9. streaming throughput at the order-9 scale
+# 9. the census of every connected order-9 graph
 
 
-def _synthetic_order9_stream(count=261080, seed=90125):
-    rng = np.random.default_rng(seed)
-    graphs = []
-    while len(graphs) < count:
-        batch = rng.integers(0, 1 << 36, size=65536, dtype=np.uint64)
-        for b in batch:
-            g = Graph(9, int(b))
-            if is_connected(g):
-                graphs.append(g)
-                if len(graphs) == count:
-                    break
-    return graphs
+# full-precision order-9 statistics (mean, std, skewness, kurtosis, min,
+# max) of the census; a regression reference, since the published table
+# stops at order 8
+ORDER9_STATS = {
+    "lambda_max": (4.4001541446839525, 0.6529036043748486, 0.060825069875256925,
+                   3.0313247888183796, 1.9021130325903075, 8.0),
+    "lambda_min": (-2.601761339540657, 0.2914995839482475, -0.4120497785080881,
+                   3.362637831326224, -4.47213595499958, -1.0000000000000004),
+    "gap": (1.0167193246295194, 0.3947804053489329, 1.629714775601131,
+            15.241263770968725, 0.2833684032764734, 9.0),
+    "ind": (0.6962431901958229, 0.29020842532283936, 1.7709566097259068,
+            21.777668362547004, 0.150248027880998, 8.0),
+    "pow": (14.01111111429865, 1.0527324299730816, -0.5910670292077749,
+            3.5445617905371005, 5.656854249492381, 17.05997848692523),
+}
+
+# (min witnesses, max witnesses); gap max is shared by K9 and HFzf~z{
+ORDER9_WITNESSES = {
+    "lambda_max": ({"H?LTAA?"}, {"H~~~~~~"}),
+    "lambda_min": ({"H?~vfbo"}, {"H~~~~~~"}),
+    "gap": ({"Hhe~mr_"}, {"HFzf~z{", "H~~~~~~"}),
+    "ind": ({"Hq]m~Zo"}, {"H~~~~~~"}),
+    "pow": ({"HsaCCA?"}, {"HrUh}Zo"}),
+}
 
 
-def test_accept_9_order9_throughput():
-    path = os.environ.get("SPECGAP_CENSUS9_FILE")
+def test_accept_9_order9_throughput(census9):
     start = time.monotonic()
-    if path:
-        report = run_census(Graph6Source(path))
-        assert report.count == 261080
-    else:
-        report = run_census(_synthetic_order9_stream())
-        assert report.count == 261080
-    elapsed = time.monotonic() - start
-    assert elapsed <= 300.0
+    report = run_census(_to_graphs(*census9))
+    assert time.monotonic() - start <= 300.0
+    assert report.count == census.KNOWN_CONNECTED_COUNTS[9]
     assert report.order == 9
-    s = report.stats["lambda_max"].finalize()
-    assert s.maximum <= 8.0 + 1e-9
-    s = report.stats["lambda_min"].finalize()
-    assert s.minimum >= -math.sqrt(20.0) - 1e-9
-    for name in ("gap", "ind", "pow"):
-        assert report.stats[name].finalize().minimum > 0.0
+    summary = {name: report.stats[name].finalize() for name in ORDER9_STATS}
+    # the closed-form extremes the classical suite pins
+    lmax, lmin = summary["lambda_max"], summary["lambda_min"]
+    assert lmax.maximum == pytest.approx(8.0, abs=1e-9)
+    assert lmax.max_witnesses == ("H~~~~~~",)
+    assert lmax.minimum == pytest.approx(2 * math.cos(math.pi / 10), abs=1e-9)
+    assert lmin.minimum == pytest.approx(-math.sqrt(20.0), abs=1e-9)
+    assert lmin.maximum == pytest.approx(-1.0, abs=1e-9)
+    assert summary["pow"].minimum == pytest.approx(2 * math.sqrt(8.0), abs=1e-9)
+    for name, pinned in ORDER9_STATS.items():
+        s = summary[name]
+        got = (s.mean, s.std, s.skewness, s.kurtosis, s.minimum, s.maximum)
+        assert got == pytest.approx(pinned, rel=1e-9), name
+        assert (set(s.min_witnesses), set(s.max_witnesses)) == ORDER9_WITNESSES[name]
+        assert s.min_overflow == s.max_overflow == 0

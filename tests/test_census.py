@@ -411,7 +411,7 @@ def test_parent_tables_match_explicit_candidates(m, data):
         # "H - w connected" against the connectivity of the explicit H - w,
         # for every attach set and every old vertex w
         h = _adjacency(m + 1, np.concatenate(
-            [np.repeat(bits[p:p + 1], len(sets), 0), attach], 1), np.uint8)
+            [np.repeat(bits[p:p + 1], len(sets), 0), attach], 1)).astype(np.uint8)
         for w in range(m):
             rest = np.delete(np.arange(m + 1), w)
             explicit = _connected_rows(m, h[:, rest][:, :, rest][:, ju, iu])
@@ -435,14 +435,31 @@ def test_extend_census_regenerates_committed_file(census8_path):
 
 
 @pytest.mark.slow
-def test_order9_extension_of_committed_census8(census8_path):
+def test_order9_extension_of_committed_census8(census9):
     # the whole order-9 census: every connected class, pinned by its digest
-    _, bits = _pair_bits(list(Graph6Source(census8_path)))
-    order, got = census._extend(8, bits, complete=True)
+    order, got = census9
     assert order == 9 and len(got) == KNOWN_CONNECTED_COUNTS[9]
     assert _connected_rows(9, got).all()
     text = ",".join(str(g.bits) for g in _to_graphs(9, got))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7d9e795bafed0197"
+
+
+def test_order9_census_holds_every_sampled_connected_graph(census9):
+    # completeness without the extension: the canonical form of each
+    # connected graph among 60,000 random order-9 edge sets is a class
+    _, classes = census9
+    packed = np.zeros((len(classes), 8), np.uint8)
+    packed[:, :5] = np.packbits(classes, axis=1, bitorder="little")
+    forms = packed.view("<i8").ravel()
+    assert (forms[1:] > forms[:-1]).all()
+    masks = np.random.default_rng(90125).integers(0, 1 << 36, size=60000,
+                                                 dtype=np.uint64)
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, count=pair_count(9), bitorder="little")
+    bits = bits[_connected_rows(9, bits)]
+    assert len(bits) == 57878
+    sampled = census._canonical_forms(9, bits)
+    assert np.isin(sampled, forms).all()
 
 
 def test_committed_census8(census8_path):

@@ -210,6 +210,17 @@ def test_verify_failure_tags(capsys, monkeypatch, check, order, patches,
     assert out.splitlines()[1] == f"first_counterexample {first}"
 
 
+def test_verify_bug_in_prop1_is_not_a_counterexample(capsys, monkeypatch):
+    # a suite catches only its defect checks (RuntimeError); a bug exits 2
+    def bug(parts):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(multipartite, "multipartite_bounds_check", bug)
+    code, out, err = run(capsys, "verify", "--check", "prop1", "--order", "3")
+    assert (code, out) == (2, "")
+    assert err == "internal error: TypeError: unsupported operand\n"
+
+
 @pytest.mark.parametrize("order,lines,first", [
     ("5", "D~{\nD~{\n", "expected a unique witness, got 2"),  # K5 twice
     ("7", "F~~~w\n", "expected 2 witnesses, got 1"),  # K7 alone

@@ -122,6 +122,42 @@ def test_one_row_call_matches_the_batch_on_the_order8_census(census8_path):
         assert one["nullity"][0] == table["nullity"][i] == eigen.nullity(v)
 
 
+def _charpoly(a):
+    """The characteristic polynomials det(xI - A) = sum c_k x^k of a stack
+    of integer matrices, as int64 coefficients c_0..c_m per row, by
+    Faddeev-LeVerrier; and the largest |entry| of any M_k or A M_k."""
+    n, m, _ = a.shape
+    coeffs = np.zeros((n, m + 1), np.int64)
+    coeffs[:, m] = 1
+    eye = np.eye(m, dtype=np.int64)
+    mk, peak = np.zeros_like(a), 0
+    for k in range(1, m + 1):
+        mk = a @ mk + coeffs[:, m - k + 1, None, None] * eye
+        amk = a @ mk
+        peak = max(peak, int(np.abs(mk).max()), int(np.abs(amk).max()))
+        trace = np.trace(amk, axis1=1, axis2=2)
+        assert (trace % k == 0).all()  # the division below is exact
+        coeffs[:, m - k] = -(trace // k)
+    # Cayley-Hamilton: A M_m + c_0 I = 0 checks the whole recurrence
+    assert (amk + coeffs[:, 0, None, None] * eye == 0).all()
+    return coeffs, peak
+
+
+def test_nullity_matches_the_exact_characteristic_polynomial(census8_path):
+    # the zero tolerance against exact integers on every order-8 graph:
+    # the nullity is the number of trailing zero coefficients
+    source = census.Graph6Source(census8_path)
+    bits = np.concatenate([bits for _, bits, _ in source._batches()])
+    adj = _adjacency(8, bits)
+    coeffs, peak = _charpoly(adj.astype(np.int64))
+    # entries below 2**31 keep every product A @ M (8 terms of 0/1 times an
+    # entry) and every trace far inside int64
+    assert peak < 2**31
+    exact = np.argmax(coeffs != 0, axis=1)
+    assert (exact == index_table(eigen.spectra_batch(adj))["nullity"]).all()
+    assert len(exact) == 11117 and exact.max() > 0
+
+
 def test_batch_matches_scalar(census5):
     vals = np.stack([eigen.spectrum(g) for g in census5])
     out = indices_batch(vals, eigen.default_zero_tol(5))
