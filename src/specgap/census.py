@@ -33,7 +33,8 @@ accumulators in chunk order, so a report depends neither on where the
 file's blocks fall nor on the number of threads.  A Graph is built only
 for a witness label, or when a caller iterates the source.  The verify
 suites cut the same batches with _chunks, for their bound checks and for
-_census_report.
+_census_report, and run their blocks in the same ordered thread window,
+_ordered.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import os
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -501,15 +502,47 @@ def _chunks(batches: Iterable[tuple[int, np.ndarray]], size: int
             yield m, rows
 
 
+def _ordered(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """fn(item) for every item, yielded in item order as map yields them.
+
+    threads == 1 is map itself.  Otherwise fn runs in a pool of that many
+    threads, at most threads + 2 items ahead of the consumer, and every
+    error surfaces where map raises it: an error of fn after the results
+    of the items before it, an error of items itself after the results of
+    every item it gave (so an error of fn on one of those wins).
+    """
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    items, error = iter(items), None
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window: deque = deque()
+        while True:
+            try:
+                item = next(items)
+            except StopIteration:
+                break
+            except Exception as exc:
+                error = exc
+                break
+            window.append(pool.submit(fn, item))
+            if len(window) >= threads + 2:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    if error is not None:
+        raise error
+
+
 def run_census(source: Iterable[Graph], zero_tol: float | None = None,
                threads: int = 1, chunk_size: int = CHUNK_SIZE) -> CensusReport:
     """Stream a single-order graph source into a CensusReport.
 
     The chunks hold chunk_size graphs each, cut at order changes; a
     Graph6Source hands over its pair-bit batches, other sources are
-    converted block by block.  Chunks are eigensolved in batch; per-chunk
-    accumulators merge in chunk order, so the report is identical for any
-    thread count.
+    converted block by block.  _census_report eigensolves the chunks on
+    threads threads and merges them in chunk order, so the report is
+    identical for any thread count.
     """
     if min(threads, chunk_size) < 1:
         raise ValueError("threads and chunk_size must be at least 1")
@@ -524,16 +557,14 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
 
 def _census_report(chunks: Iterable[tuple[int, np.ndarray]],
                    zero_tol: float | None = None, threads: int = 1) -> CensusReport:
-    """The CensusReport of the (order, pair bits) chunks of a one-order census."""
+    """The CensusReport of the (order, pair bits) chunks of a one-order
+    census.  Each chunk is eigensolved and summarised by _chunk_payload,
+    on threads threads through _ordered, and the summaries are merged in
+    chunk order.  A chunk of another order raises MixedOrdersError when it
+    is read, before it is solved."""
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     order = 0
-
-    def merge(chunk_result) -> None:
-        st, hs = chunk_result
-        for name in INDEX_NAMES:
-            stats[name].absorb(st[name])
-            hists[name].absorb(hs[name])
 
     def checked() -> Iterator[tuple[int, np.ndarray]]:
         nonlocal order
@@ -543,18 +574,11 @@ def _census_report(chunks: Iterable[tuple[int, np.ndarray]],
             order = m
             yield m, bits
 
-    if threads == 1:
-        for chunk in checked():
-            merge(_chunk_payload(*chunk, zero_tol))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            window: deque = deque()
-            for chunk in checked():
-                window.append(pool.submit(_chunk_payload, *chunk, zero_tol))
-                if len(window) >= threads + 2:
-                    merge(window.popleft().result())
-            while window:
-                merge(window.popleft().result())
+    for st, hs in _ordered(lambda chunk: _chunk_payload(*chunk, zero_tol),
+                           checked(), threads):
+        for name in INDEX_NAMES:
+            stats[name].absorb(st[name])
+            hists[name].absorb(hs[name])
 
     count = stats[INDEX_NAMES[0]].count
     if count == 0:
@@ -577,13 +601,14 @@ class ExtremalResult:
 
 
 def extremal(source: Iterable[Graph], index: str, direction: str,
-             zero_tol: float | None = None) -> ExtremalResult:
-    """Extreme value of one index over a source, with graph6 witnesses."""
+             zero_tol: float | None = None, threads: int = 1) -> ExtremalResult:
+    """Extreme value of one index over a source, with graph6 witnesses;
+    the census runs on threads threads, as in run_census."""
     if index not in INDEX_NAMES:
         raise ValueError(f"unknown index {index!r}; expected one of {INDEX_NAMES}")
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    report = run_census(source, zero_tol)
+    report = run_census(source, zero_tol, threads)
     value, wits, over = report.stats[index].finalize().extreme(direction)
     assert value is not None  # count >= 1 guaranteed by run_census
     return ExtremalResult(

@@ -122,7 +122,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     name = {"lmax": "lambda_max", "lmin": "lambda_min"}.get(args.index, args.index)
     result = census.extremal(
-        _census_source(args), name, args.dir, zero_tol=args.zero_tol
+        _census_source(args), name, args.dir, zero_tol=args.zero_tol,
+        threads=args.threads,
     )
     print(f"{result.direction} {result.index} {format_float(result.value)} "
           f"over {result.count} graphs")
@@ -136,7 +137,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    result = verify.run_check(args.check, args.order, args.file)
+    result = verify.run_check(args.check, args.order, args.file, args.threads)
     status = "PASS" if result.passed else "FAIL"
     print(f"{result.name} {status} checked {result.checked} "
           f"skipped {result.skipped}")
@@ -180,6 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral gap, index and power analysis of connected graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # census, extremal and verify eigensolve their census blocks in a pool
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="threads that solve the census blocks (default: the CPU "
+             "count); any count gives the same output, and verify's prop1, "
+             "prop3 and prop4, which read no census, ignore it")
 
     for name, what, fn in (("spectrum", "eigenvalues", _cmd_spectrum),
                            ("indices", "spectral indices", _cmd_indices)):
@@ -207,17 +215,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="part size")
     p.set_defaults(fn=_cmd_perturbed)
 
-    p = sub.add_parser("census", help="index statistics over a census")
+    p = sub.add_parser("census", help="index statistics over a census",
+                       parents=[threads])
     p.add_argument("--order", type=int, default=None,
                    help="use the built-in enumeration of this order")
     p.add_argument("--file", default=None, help="graph6 file to read instead")
     p.add_argument("--out", default=".", help="directory for CSV output")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--chunk-size", type=int, default=census.CHUNK_SIZE)
     p.add_argument("--zero-tol", type=float, default=None)
     p.set_defaults(fn=_cmd_census)
 
-    p = sub.add_parser("extremal", help="extreme index value with witnesses")
+    p = sub.add_parser("extremal", help="extreme index value with witnesses",
+                       parents=[threads])
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--file", default=None)
     p.add_argument("--index", required=True,
@@ -226,7 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-tol", type=float, default=None)
     p.set_defaults(fn=_cmd_extremal)
 
-    p = sub.add_parser("verify", help="run one verification suite")
+    p = sub.add_parser("verify", help="run one verification suite",
+                       parents=[threads])
     p.add_argument("--check", required=True, choices=list(verify.CHECK_NAMES))
     p.add_argument("--order", type=int, required=True,
                    help="census order, or the largest part size for prop3/4")
@@ -256,6 +266,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("give exactly one of --order or --file")
     if args.command == "census" and min(args.threads, args.chunk_size) < 1:
         parser.error("--threads and --chunk-size must be at least 1")
+    if getattr(args, "threads", 1) < 1:
+        parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
     except (ValueError, OSError, multipartite.SearchBudgetExceededError) as exc:

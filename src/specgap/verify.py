@@ -14,7 +14,9 @@ bipartite-bound, vertex-add) cut them into blocks of SWEEP_BLOCK graphs
 and run each bound's pair-bit form once per block, which gives masks of
 the graphs it applies to and holds for; only a failing graph becomes a
 graph6 string.  The power maximum and the classical extremes each come
-from one census._census_report of the same batches.
+from one census._census_report of the same batches.  Either way the
+blocks run in census._ordered, the thread window of the census, and are
+folded in census order, so a result is the same for any thread count.
 """
 
 from __future__ import annotations
@@ -44,8 +46,10 @@ _TOL = 1e-8
 # (2 vCPUs, one BLAS thread) prop2a, bipartite-bound and vertex-add spent
 # 0.09-0.10 s outside LAPACK at 512 against 0.14-0.18 s at 128, with the
 # same peak RSS.  Larger blocks gained little more, and their transient
-# arrays (order-8 eigenvectors, order-9 stacks of vertex-add) raised peak
-# RSS by 0.6 MB at 1024 and 3.2 MB at 2048.
+# arrays (order-8 eigenvectors, order-9 stacks of vertex-add) are held
+# once per block in flight: with the blocks on two threads, the four
+# suites peaked at 35.7, 35.6 and 37.6 MB RSS at 256, 512 and 1024 (33.8
+# MB at 512 on one thread).
 SWEEP_BLOCK = 512
 
 
@@ -99,28 +103,35 @@ def _census_batches(order: int, path: str | None) -> Iterator[tuple[int, np.ndar
         yield m, bits
 
 
-def _sweep(order: int, path: str | None,
+def _sweep(order: int, path: str | None, threads: int,
            *bounds: tuple[str, Callable[[int, np.ndarray], tuple]]) -> Tally:
     """Every (tag prefix, bound) pair on every census graph.
 
     The census is cut into blocks of SWEEP_BLOCK graphs, and each bound
-    runs once per block on its order and pair bits.  A graph that some
-    bound does not apply to is skipped; each bound that a checked graph
-    fails adds the prefix plus its graph6 string, in census order and, per
-    graph, in the order of ``bounds``.
+    runs once per block on its order and pair bits, the blocks on threads
+    threads through census._ordered; their tallies are summed in block
+    order.  A graph that some bound does not apply to is skipped; each
+    bound that a checked graph fails adds the prefix plus its graph6
+    string, in census order and, per graph, in the order of ``bounds``.
     """
-    failures: list[str] = []
-    checked = skipped = 0
-    for m, bits in census._chunks(_census_batches(order, path), SWEEP_BLOCK):
+    def tally(block: tuple[int, np.ndarray]) -> Tally:
+        m, bits = block
         columns = [bound(m, bits) for _, bound in bounds]
         ok = np.logical_and.reduce([why == "" for why, _, _ in columns])
-        checked += int(ok.sum())
-        skipped += len(bits) - int(ok.sum())
         rows, fail = np.nonzero(np.column_stack(
             [ok & ~holds for _, holds, _ in columns]))
-        if len(rows):
-            failures += [bounds[k][0] + graph6.encode(g) for g, k in
-                         zip(_to_graphs(m, bits[rows]), fail.tolist())]
+        failures = tuple(bounds[k][0] + graph6.encode(g) for g, k in
+                         zip(_to_graphs(m, bits[rows]), fail.tolist()))
+        return int(ok.sum()), len(bits) - int(ok.sum()), failures
+
+    failures: list[str] = []
+    checked = skipped = 0
+    blocks = census._chunks(_census_batches(order, path), SWEEP_BLOCK)
+    for block_checked, block_skipped, block_failures in census._ordered(
+            tally, blocks, threads):
+        checked += block_checked
+        skipped += block_skipped
+        failures += block_failures
     return checked, skipped, tuple(failures)
 
 
@@ -149,9 +160,11 @@ def check_multipartite_bounds(order: int) -> Tally:
     return checked, 0, tuple(failures)
 
 
-def check_nonmultipartite_bounds(order: int, path: str | None = None) -> Tally:
+def check_nonmultipartite_bounds(order: int, path: str | None = None,
+                                 threads: int = 1) -> Tally:
     """Census sweep of the gap/ind bounds for non complete multipartite graphs."""
-    return _sweep(order, path, ("", multipartite._nonmultipartite_columns))
+    return _sweep(order, path, threads,
+                  ("", multipartite._nonmultipartite_columns))
 
 
 # the two order-7 maximizers of the power index and their exact spectra
@@ -161,14 +174,16 @@ _POW7_SPECTRA = (
 )
 
 
-def check_power_maximum(order: int, path: str | None = None) -> Tally:
+def check_power_maximum(order: int, path: str | None = None,
+                        threads: int = 1) -> Tally:
     """max power == 2*(order-1) for order <= 7, witnessed by the complete
     graph; at order 7 by exactly two graphs with known spectra."""
     if order > 7:
         raise ValueError("the power-maximum statement covers orders <= 7")
     failures = []
     report = census._census_report(
-        census._chunks(_census_batches(order, path), census.CHUNK_SIZE))
+        census._chunks(_census_batches(order, path), census.CHUNK_SIZE),
+        threads=threads)
     value, labels, overflow = report.stats["pow"].finalize().extreme("max")
     expected = 2.0 * (order - 1)
     if abs(value - expected) > _TOL:
@@ -219,9 +234,10 @@ def _edge_family(max_part: int, closed_form: Callable, build: Callable,
     return max(max_part - 1, 0), 0, tuple(failures)
 
 
-def check_bipartite_bound(order: int, path: str | None = None) -> Tally:
+def check_bipartite_bound(order: int, path: str | None = None,
+                          threads: int = 1) -> Tally:
     """Census sweep of the gap bound for bipartite, non complete bipartite graphs."""
-    return _sweep(order, path, ("", multipartite._bipartite_columns))
+    return _sweep(order, path, threads, ("", multipartite._bipartite_columns))
 
 
 # witnesses the classical extremes name
@@ -243,7 +259,8 @@ def _is_balanced_complete_bipartite(g: Graph) -> bool:
     return detect_complete_multipartite(g) == tuple(sorted((m // 2, m - m // 2)))
 
 
-def check_classical(order: int, path: str | None = None) -> Tally:
+def check_classical(order: int, path: str | None = None,
+                    threads: int = 1) -> Tally:
     """The five textbook extremes, read off one batched census.
 
     Each check pins the extreme value and requires the unique witness the
@@ -252,7 +269,8 @@ def check_classical(order: int, path: str | None = None) -> Tally:
     """
     m = order
     stats = census._census_report(
-        census._chunks(_census_batches(m, path), census.CHUNK_SIZE)).stats
+        census._chunks(_census_batches(m, path), census.CHUNK_SIZE),
+        threads=threads).stats
     specs = (
         ("max lambda_max", "lambda_max", "max", float(m - 1), _is_complete),
         ("min lambda_max", "lambda_max", "min",
@@ -274,9 +292,10 @@ def check_classical(order: int, path: str | None = None) -> Tally:
     return len(specs), 0, tuple(failures)
 
 
-def check_vertex_addition(order: int, path: str | None = None) -> Tally:
+def check_vertex_addition(order: int, path: str | None = None,
+                          threads: int = 1) -> Tally:
     """Cone and pendant eigenvalue bounds on every census graph."""
-    return _sweep(order, path,
+    return _sweep(order, path, threads,
                   ("cone:", multipartite._cone_columns),
                   ("pendant:", multipartite._pendant_columns))
 
@@ -295,15 +314,20 @@ _SUITES = {
 CHECK_NAMES = tuple(_SUITES)
 
 
-def run_check(name: str, order: int, path: str | None = None) -> SuiteResult:
+def run_check(name: str, order: int, path: str | None = None,
+              threads: int = 1) -> SuiteResult:
     """Run a named suite; ``order`` is the census order, or the largest part
     size for the perturbation families.  Census suites read the graph6 file
-    at ``path`` when one is given, else the built-in enumeration; a path
-    given to any other suite raises NoCensusError."""
+    at ``path`` when one is given, else the built-in enumeration, and run
+    their blocks on ``threads`` threads with the same result for any
+    count; the other suites ignore ``threads``, and a path given to one of
+    them raises NoCensusError."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if name not in _SUITES:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
     suite, sweeps_census = _SUITES[name]
     if path is not None and not sweeps_census:
         raise NoCensusError(f"check {name} reads no census; it takes no graph6 file")
-    tally = suite(order, path) if sweeps_census else suite(order)
+    tally = suite(order, path, threads) if sweeps_census else suite(order)
     return SuiteResult(name, *tally)

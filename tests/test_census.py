@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -47,7 +48,7 @@ from specgap.graphs import (
     relabel,
     star,
 )
-from specgap.indices import compute_indices
+from specgap.indices import DegenerateSpectrumError, compute_indices
 
 
 def test_known_counts_table():
@@ -872,6 +873,65 @@ def test_census_mixed_orders():
         with pytest.raises(MixedOrdersError,
                            match="^census mixes orders 3 and 1$"):
             run_census([complete(3), Graph(1, 0)], threads=threads)
+    # a failing chunk read before the order change wins, at any threads,
+    # though it may still be in flight when the order change is read
+    for threads in (1, 2, 3):
+        with pytest.raises(DegenerateSpectrumError,
+                           match="^graph @: spectrum lacks eigenvalues"):
+            run_census([Graph(1, 0), complete(2)], threads=threads,
+                       chunk_size=1)
+
+
+class _FnError(Exception):
+    pass
+
+
+class _ProducerError(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(threads=st.integers(1, 4), data=st.data())
+def test_ordered_window_matches_serial_map(threads, data):
+    # fn fails on some items and the producer may fail in place of one
+    # item; the window gives what map gives, and raises what map raises
+    n = data.draw(st.integers(0, 24))
+    fn_fails = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    producer_fails = data.draw(st.none() | st.integers(0, n))
+    pauses = data.draw(st.lists(st.sampled_from((0.0, 0.001)), min_size=n,
+                                max_size=n))
+    pulled = 0
+
+    def items():
+        nonlocal pulled
+        for i in range(n + 1):
+            if i == producer_fails:
+                raise _ProducerError(i)
+            if i == n:
+                return
+            pulled += 1
+            yield i
+
+    def fn(i):
+        time.sleep(pauses[i])  # results complete out of order
+        if i in fn_fails:
+            raise _FnError(i)
+        return i * i
+
+    def run(results):
+        nonlocal pulled
+        pulled, got = 0, []
+        try:
+            for r in results:
+                got.append(r)
+                # the item just received and at most threads + 1 more
+                assert pulled - (len(got) - 1) <= threads + 2
+        except (_FnError, _ProducerError) as exc:
+            return got, (type(exc), exc.args)
+        return got, None
+
+    serial = run(map(fn, items()))
+    assert run(census._ordered(fn, items(), threads)) == serial
 
 
 def test_census_single_graph():

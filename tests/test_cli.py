@@ -1,6 +1,7 @@
 """Command-line interface: output shapes, exit codes, adapter fidelity."""
 
 import math
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -425,3 +426,46 @@ def test_census_counts_below_one_are_usage_errors(capsys, tmp_path, flag,
     assert "--threads and --chunk-size must be at least 1" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_census_error_does_not_depend_on_threads(capsys, tmp_path, threads):
+    # the one-vertex chunk fails before the next chunk's order change does
+    f = tmp_path / "f.g6"
+    f.write_text("@\nA_\n")
+    code, out, err = run(capsys, "census", "--file", str(f), "--chunk-size",
+                         "1", "--threads", threads, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: graph @: spectrum lacks eigenvalues of both signs\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--check", "prop2a", "--order", "5"),
+    ("verify", "--check", "prop1", "--order", "5"),
+    ("extremal", "--order", "4", "--index", "gap", "--dir", "min"),
+])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_are_usage_errors(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--threads", value])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.splitlines()[-1].endswith("error: --threads must be at least 1")
+
+
+def test_threads_option_is_shared(capsys, census8_path):
+    parser = cli._build_parser()
+    for argv in (["census", "--order", "4"],
+                 ["extremal", "--order", "4", "--index", "gap", "--dir", "min"],
+                 ["verify", "--check", "prop3", "--order", "4"]):
+        assert parser.parse_args(argv).threads == (os.cpu_count() or 1)
+    # the suites that read no census take the option and ignore it
+    for check, order in (("prop1", "6"), ("prop3", "12"), ("prop4", "12")):
+        assert run(capsys, "verify", "--check", check, "--order", order,
+                   "--threads", "3") == run(capsys, "verify", "--check",
+                                            check, "--order", order)
+    one = run(capsys, "extremal", "--file", census8_path, "--index", "pow",
+              "--dir", "min", "--threads", "1")
+    assert one[0] == 0
+    assert run(capsys, "extremal", "--file", census8_path, "--index", "pow",
+               "--dir", "min", "--threads", "3") == one

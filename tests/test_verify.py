@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from specgap import census, eigen, graph6, multipartite, verify
 from specgap.census import SOURCE_BLOCK, MixedOrdersError
 from specgap.graphs import (
     Graph,
+    _to_graphs,
     complete,
     complete_multipartite,
     detect_complete_multipartite,
@@ -282,3 +284,47 @@ def test_census_bound_suites_solve_no_graph_on_its_own(tmp_path, monkeypatch,
     assert run_check(check, 6, f).passed
     # the census statistics label their extreme graphs, and only those
     assert len(encoded) <= (30 if check in ("classical", "prop2b") else 0)
+
+
+def _outcome(*args, **kwargs):
+    """A suite's result, or the type and text of the error it raises."""
+    try:
+        return run_check(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("check", ["prop2a", "prop2b", "bipartite-bound",
+                                   "vertex-add", "classical"])
+def test_census_suites_do_not_depend_on_threads(check, census8_path):
+    for order in range(2, 8):
+        assert _outcome(check, order, threads=3) == _outcome(check, order), order
+    assert (_outcome(check, 8, census8_path, threads=3)
+            == _outcome(check, 8, census8_path))
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_check_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="^threads must be at least 1$"):
+        run_check("prop2a", 5, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_failures_keep_census_order_on_threads(census7, monkeypatch,
+                                                     threads):
+    # a bound rigged to fail on rows spread over many small blocks
+    chosen = {graph6.encode(g) for g in census7[::41]
+              if detect_complete_multipartite(g) is None}
+    real = multipartite._nonmultipartite_columns
+
+    def rigged(m, bits):
+        why, holds, fields = real(m, bits)
+        failing = [graph6.encode(g) in chosen for g in _to_graphs(m, bits)]
+        return why, holds & ~np.array(failing, bool), fields
+
+    monkeypatch.setattr(multipartite, "_nonmultipartite_columns", rigged)
+    monkeypatch.setattr(verify, "SWEEP_BLOCK", 7)
+    result = run_check("prop2a", 7, threads=threads)
+    assert len(chosen) > 10
+    assert result.failures == tuple(graph6.encode(g) for g in census7
+                                    if graph6.encode(g) in chosen)
