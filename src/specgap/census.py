@@ -15,26 +15,31 @@ their lower-twin masks and, from a complete census, the canonical-deletion
 filter from their degrees and the component table of every parent with
 one vertex deleted (see _extend).  No candidate is re-analysed before its
 search.
-enumerate_connected runs that extension from the one-vertex graph,
-checking each step's count, up to order 8 (CANON_MAX_ORDER).  The cap
-stays at 8 because order 9 is a step of its own: extending the committed
-connected8.g6, with the order-9 census checked against its known count.
-Larger orders come from graph6 files.
+_enumerate runs that extension from the one-vertex graph as pair bits,
+checking each step's count, up to order 9 (CANON_MAX_ORDER), the whole
+order-9 census in seconds; enumerate_connected hands its classes out as
+Graphs.  The cap stops at 9 because order 10 is a run of minutes whose
+final unpackbits of 11,716,571 x 45 pair bits alone is 527 MB (see
+_extend).  Larger orders come from graph6 files.
 
-The census path is columnar.  Graph6Source reads its file in blocks of
-raw lines and decodes a block of one order byte and width in one numpy
-pass into pair bits (graphs.py), one row per graph; other blocks go line
-by line through graph6.decode, so every error keeps its file:line text.
-Connectivity is decided per block on the pair bits, and _chunks regroups
-the connected rows into chunks of exactly chunk_size graphs, cut at order
-changes (_blocks makes the same cut of other sources).  run_census
-eigensolves each chunk in one batch and merges per-chunk moment
-accumulators in chunk order, so a report depends neither on where the
-file's blocks fall nor on the number of threads.  A Graph is built only
-for a witness label, or when a caller iterates the source.  The verify
-suites cut the same batches with _chunks, for their bound checks and for
-_census_report, and run their blocks in the same ordered thread window,
-_ordered.
+The census path is columnar, and there is one of it.  _census_source
+chooses what the CLI and the verify suites read: a Graph6Source over a
+graph6 file, or _Enumeration, the built-in census as one batch of
+_enumerate's pair bits.  Both hand over (order, pair bits, numbers)
+batches.  Graph6Source reads its file in blocks of raw lines and decodes
+a block of one order byte and width in one numpy pass into pair bits
+(graphs.py), one row per graph; other blocks go line by line through
+graph6.decode, so every error keeps its file:line text.  Connectivity is
+decided per block on the pair bits, and _chunks regroups the connected
+rows into chunks of exactly chunk_size graphs, cut at order changes
+(_blocks makes the same cut of a Graph iterable).  run_census eigensolves
+each chunk in one batch and merges per-chunk moment accumulators in chunk
+order, so a report depends neither on where the batches fall nor on the
+number of threads.  A Graph is built only for a witness label, or for a
+public caller: enumerate_connected, extend_census, a Graph iterable given
+to run_census, or iteration of a Graph6Source.  The verify suites cut the
+same batches with _chunks, for their bound checks and for _census_report,
+and run their blocks in the same ordered thread window, _ordered.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
 
 log = logging.getLogger(__name__)
 
-CANON_MAX_ORDER = 8
+CANON_MAX_ORDER = 9
 HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
 CHUNK_SIZE = 2048  # graphs per eigensolved chunk unless a caller says otherwise
@@ -228,7 +233,7 @@ def _check_canon_order(order: int) -> None:
 
 
 def canonical_bits(g: Graph) -> int:
-    """Smallest edge bitset over all relabelings of g (order <= 8).
+    """Smallest edge bitset over all relabelings of g (order <= 9).
 
     Computed by the exact refinement search of _canonical_forms.
     """
@@ -287,13 +292,20 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> tuple[int, np.ndarra
 
 
 def enumerate_connected(m: int) -> list[Graph]:
-    """All connected graphs on m vertices, one canonical graph per class.
+    """All connected graphs on m vertices, one canonical graph per class,
+    in ascending bitset order: the Graphs of _enumerate(m)."""
+    return _to_graphs(*_enumerate(m))
 
-    Built as pair bits by extending the one-vertex graph one vertex at a
-    time (see extend_census), each step from a complete census, so both
-    of its filters apply; a step that yields other than
-    KNOWN_CONNECTED_COUNTS classes raises RuntimeError.  Returned in
-    ascending bitset order; canonical forms cap it at order CANON_MAX_ORDER.
+
+def _enumerate(m: int) -> tuple[int, np.ndarray]:
+    """The order and pair bits of every connected class of order m, one
+    row per class, ascending as forms.
+
+    Built by extending the one-vertex graph one vertex at a time (see
+    extend_census), each step from a complete census, so both of its
+    filters apply; a step that yields other than KNOWN_CONNECTED_COUNTS
+    classes raises RuntimeError.  Canonical forms cap m at
+    CANON_MAX_ORDER, checked before any extension.
     """
     if m < 1:
         raise ValueError("order must be positive")
@@ -304,7 +316,7 @@ def enumerate_connected(m: int) -> list[Graph]:
         if len(bits) != KNOWN_CONNECTED_COUNTS[k]:
             raise RuntimeError(f"order {k}: built {len(bits)} classes, "
                                f"not {KNOWN_CONNECTED_COUNTS[k]}")
-    return _to_graphs(k, bits)
+    return k, bits
 
 
 def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
@@ -430,6 +442,28 @@ def _blocks(graphs: Iterable[Graph], size: int) -> Iterator[tuple[int, np.ndarra
 # ---------------------------------------------------------------------------
 # the census pipeline
 
+@dataclass
+class _Enumeration:
+    """The built-in census of one order as a source, the counterpart of a
+    Graph6Source: _enumerate's classes in one batch, numbered from 1.  It
+    rejects none, so it has no rejected_disconnected; run_census reads a
+    missing count as 0."""
+
+    order: int
+
+    def _batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        m, bits = _enumerate(self.order)
+        yield m, bits, np.arange(1, len(bits) + 1)
+
+
+def _census_source(order: int | None, path: str | None
+                   ) -> Graph6Source | _Enumeration:
+    """The census of the graph6 file at path, else the built-in
+    enumeration of order; the one choice between the two, for the CLI and
+    the verify suites."""
+    return _Enumeration(order) if path is None else Graph6Source(path)
+
+
 class Histogram:
     """Value histogram; bin k covers [k*w, (k+1)*w) for w = HIST_BIN_WIDTH."""
 
@@ -485,15 +519,14 @@ def _chunk_payload(m: int, bits: np.ndarray, zero_tol: float | None):
     return stats, hists
 
 
-def _chunks(batches: Iterable[tuple[int, np.ndarray]], size: int
-            ) -> Iterator[tuple[int, np.ndarray]]:
-    """The rows of consecutive batches regrouped into chunks of one order,
-    exactly size rows each but the last before an order change or the
-    end: the cut _blocks makes of the same graphs."""
+def _chunks(batches: Iterable[tuple], size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of consecutive (order, pair bits, ...) batches regrouped
+    into chunks of one order, exactly size rows each but the last before
+    an order change or the end: the cut _blocks makes of the same graphs."""
     nonempty = (batch for batch in batches if len(batch[1]))
     for m, run in itertools.groupby(nonempty, lambda batch: batch[0]):
         rows = None
-        for _, bits in run:
+        for _, bits, *_ in run:
             rows = bits if rows is None else np.concatenate([rows, bits])
             while len(rows) >= size:
                 yield m, rows[:size]
@@ -538,37 +571,35 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
                threads: int = 1, chunk_size: int = CHUNK_SIZE) -> CensusReport:
     """Stream a single-order graph source into a CensusReport.
 
-    The chunks hold chunk_size graphs each, cut at order changes; a
-    Graph6Source hands over its pair-bit batches, other sources are
-    converted block by block.  _census_report eigensolves the chunks on
-    threads threads and merges them in chunk order, so the report is
-    identical for any thread count.
+    A Graph6Source, like the built-in census that the CLI reads, hands
+    over its pair-bit batches; Graphs of other sources are converted
+    block by block.  _census_report cuts the batches into chunks of
+    chunk_size graphs, eigensolves them on threads threads and merges them
+    in chunk order, so the report is identical for any thread count.
     """
     if min(threads, chunk_size) < 1:
         raise ValueError("threads and chunk_size must be at least 1")
-    if isinstance(source, Graph6Source):
-        chunks = _chunks((batch[:2] for batch in source._batches()), chunk_size)
-    else:
-        chunks = _blocks(source, chunk_size)
-    report = _census_report(chunks, zero_tol, threads)
+    batches = (source._batches() if isinstance(source, (Graph6Source, _Enumeration))
+               else _blocks(source, chunk_size))
+    report = _census_report(batches, zero_tol, threads, chunk_size)
     report.rejected_disconnected = getattr(source, "rejected_disconnected", 0)
     return report
 
 
-def _census_report(chunks: Iterable[tuple[int, np.ndarray]],
-                   zero_tol: float | None = None, threads: int = 1) -> CensusReport:
-    """The CensusReport of the (order, pair bits) chunks of a one-order
-    census.  Each chunk is eigensolved and summarised by _chunk_payload,
-    on threads threads through _ordered, and the summaries are merged in
-    chunk order.  A chunk of another order raises MixedOrdersError when it
-    is read, before it is solved."""
+def _census_report(batches: Iterable[tuple], zero_tol: float | None = None,
+                   threads: int = 1, chunk_size: int = CHUNK_SIZE) -> CensusReport:
+    """The CensusReport of the (order, pair bits, ...) batches of a
+    one-order census.  They are cut by _chunks, each chunk is eigensolved
+    and summarised by _chunk_payload, on threads threads through _ordered,
+    and the summaries are merged in chunk order.  A chunk of another order
+    raises MixedOrdersError when it is read, before it is solved."""
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     order = 0
 
     def checked() -> Iterator[tuple[int, np.ndarray]]:
         nonlocal order
-        for m, bits in chunks:
+        for m, bits in _chunks(batches, chunk_size):
             if order and m != order:
                 raise MixedOrdersError(f"census mixes orders {order} and {m}")
             order = m

@@ -92,15 +92,9 @@ def _cmd_perturbed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _census_source(args: argparse.Namespace):
-    if args.file is not None:
-        return census.Graph6Source(args.file)
-    return census.enumerate_connected(args.order)
-
-
 def _cmd_census(args: argparse.Namespace) -> int:
     report = census.run_census(
-        _census_source(args), zero_tol=args.zero_tol,
+        census._census_source(args.order, args.file), zero_tol=args.zero_tol,
         threads=args.threads, chunk_size=args.chunk_size,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -122,8 +116,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     name = {"lmax": "lambda_max", "lmin": "lambda_min"}.get(args.index, args.index)
     result = census.extremal(
-        _census_source(args), name, args.dir, zero_tol=args.zero_tol,
-        threads=args.threads,
+        census._census_source(args.order, args.file), name, args.dir,
+        zero_tol=args.zero_tol, threads=args.threads,
     )
     print(f"{result.direction} {result.index} {format_float(result.value)} "
           f"over {result.count} graphs")

@@ -8,15 +8,17 @@ graph is the subject, otherwise a readable parameter tag).  The census
 suites, the classical extremes among them, read one census of the requested
 order; run_check turns a suite's tally into a named SuiteResult.
 
-The census suites read order-checked pair-bit batches (graphs.py) of a
-graph6 file or of the built-in enumeration.  The bound suites (prop2a,
-bipartite-bound, vertex-add) cut them into blocks of SWEEP_BLOCK graphs
-and run each bound's pair-bit form once per block, which gives masks of
-the graphs it applies to and holds for; only a failing graph becomes a
-graph6 string.  The power maximum and the classical extremes each come
-from one census._census_report of the same batches.  Either way the
-blocks run in census._ordered, the thread window of the census, and are
-folded in census order, so a result is the same for any thread count.
+The census suites read order-checked pair-bit batches (graphs.py) from
+census._census_source, the one choice between a graph6 file and the
+built-in enumeration, so neither becomes a Graph per census row.  The
+bound suites (prop2a, bipartite-bound, vertex-add) cut them into blocks
+of SWEEP_BLOCK graphs and run each bound's pair-bit form once per block,
+which gives masks of the graphs it applies to and holds for; only a
+failing graph becomes a graph6 string.  The power maximum and the
+classical extremes each come from one census._census_report of the same
+batches.  Either way the blocks run in census._ordered, the thread window
+of the census, and are folded in census order, so a result is the same
+for any thread count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from . import census, eigen, graph6, multipartite
 from .graphs import (
     Graph,
-    _pair_bits,
     _to_graphs,
     complete_multipartite,
     detect_complete_multipartite,
@@ -89,14 +90,11 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _census_batches(order: int, path: str | None) -> Iterator[tuple[int, np.ndarray]]:
-    """The census a suite sweeps, as the order and pair bits of batches:
-    the connected graphs of each block of the graph6 file at ``path``, else
-    the built-in enumeration of ``order``.  A file graph of another order
-    raises MixedOrdersError."""
-    if path is None:
-        yield _pair_bits(census.enumerate_connected(order))
-        return
-    for m, bits, reads in census.Graph6Source(path)._batches():
+    """The census a suite sweeps, as the order and pair bits of the
+    batches of census._census_source: the connected graphs of each block
+    of the graph6 file at ``path``, else the built-in enumeration of
+    ``order``.  A file graph of another order raises MixedOrdersError."""
+    for m, bits, reads in census._census_source(order, path)._batches():
         if len(bits) and m != order:
             raise census.MixedOrdersError(f"{path}: graph {reads[0]} has "
                                           f"order {m}, not the requested {order}")
@@ -181,9 +179,7 @@ def check_power_maximum(order: int, path: str | None = None,
     if order > 7:
         raise ValueError("the power-maximum statement covers orders <= 7")
     failures = []
-    report = census._census_report(
-        census._chunks(_census_batches(order, path), census.CHUNK_SIZE),
-        threads=threads)
+    report = census._census_report(_census_batches(order, path), threads=threads)
     value, labels, overflow = report.stats["pow"].finalize().extreme("max")
     expected = 2.0 * (order - 1)
     if abs(value - expected) > _TOL:
@@ -268,9 +264,7 @@ def check_classical(order: int, path: str | None = None,
     when the witness is wrong or not unique.  ``checked`` counts the checks.
     """
     m = order
-    stats = census._census_report(
-        census._chunks(_census_batches(m, path), census.CHUNK_SIZE),
-        threads=threads).stats
+    stats = census._census_report(_census_batches(m, path), threads=threads).stats
     specs = (
         ("max lambda_max", "lambda_max", "max", float(m - 1), _is_complete),
         ("min lambda_max", "lambda_max", "min",

@@ -83,11 +83,11 @@ def test_enumeration_order_cap():
     with pytest.raises(ValueError):
         enumerate_connected(0)
     with pytest.raises(OrderTooLargeError):
-        enumerate_connected(9)
+        enumerate_connected(10)
     with pytest.raises(OrderTooLargeError):
-        canonical_bits(Graph(9, 0))
+        canonical_bits(Graph(10, 0))
     with pytest.raises(OrderTooLargeError):
-        extend_census([Graph(8, 1)])
+        extend_census([complete(9)])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def test_extend_census(census4, census5, census6, census7):
     with pytest.raises(MixedOrdersError):
         extend_census([Graph(3, 3), Graph(4, 7)])
     with pytest.raises(OrderTooLargeError):
-        extend_census([Graph(8, 1)])
+        extend_census([complete(9)])
 
 
 def test_extend_census_rejects_disconnected_input(census4):

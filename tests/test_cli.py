@@ -4,10 +4,12 @@ import math
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from specgap import cli, eigen, graph6, multipartite, verify
-from specgap.graphs import complete
+from specgap import census, cli, eigen, graph6, multipartite, verify
+from specgap.graphs import Graph, complete
+from specgap.indices import INDEX_NAMES
 
 
 def run(capsys, *argv):
@@ -469,3 +471,89 @@ def test_threads_option_is_shared(capsys, census8_path):
     assert one[0] == 0
     assert run(capsys, "extremal", "--file", census8_path, "--index", "pow",
                "--dir", "min", "--threads", "3") == one
+
+
+CENSUS_CHECKS = ("prop2a", "prop2b", "bipartite-bound", "vertex-add",
+                 "classical")
+
+
+def _census_outputs(capsys, out_dir, *source):
+    """Exit code, stdout without its last line (the output path), stderr
+    and the bytes of every file that census writes for this source."""
+    code, out, err = run(capsys, "census", *source, "--out", str(out_dir))
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return code, out.splitlines()[:-1], err, files
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_order_and_file_give_the_same_outputs(capsys, tmp_path, m):
+    # the built-in census and a graph6 file of it take one path to the report
+    f = tmp_path / "census.g6"
+    f.write_text("".join(graph6.encode(g) + "\n"
+                         for g in census.enumerate_connected(m)))
+    order, file = ("--order", str(m)), ("--file", str(f))
+    by_order = _census_outputs(capsys, tmp_path / "order", *order)
+    assert by_order == _census_outputs(capsys, tmp_path / "file", *file)
+    assert by_order[0] == 0 and len(by_order[3]) == 1 + len(INDEX_NAMES)
+    for index in INDEX_NAMES:
+        for direction in ("min", "max"):
+            argv = ("extremal", "--index", index, "--dir", direction)
+            assert run(capsys, *argv, *order) == run(capsys, *argv, *file)
+    for check in CENSUS_CHECKS:
+        argv = ("verify", "--check", check, *order)
+        assert run(capsys, *argv) == run(capsys, *argv, *file)
+
+
+def test_census_commands_build_no_graph_per_row(capsys, tmp_path,
+                                                monkeypatch):
+    # --order reads the enumeration's pair bits: its Graph list is never
+    # built, and a Graph is made only for a witness the output names
+    def no_graph_list(m):
+        raise AssertionError(f"the order-{m} census was built as Graphs")
+
+    built = []
+    post_init = Graph.__post_init__
+
+    def count(g):
+        built.append(g)
+        post_init(g)
+
+    monkeypatch.setattr(census, "enumerate_connected", no_graph_list)
+    monkeypatch.setattr(Graph, "__post_init__", count)
+    runs = [("census", "--order", "6", "--out", str(tmp_path)),
+            ("extremal", "--order", "6", "--index", "gap", "--dir", "max"),
+            *(("verify", "--check", check, "--order", "6")
+              for check in CENSUS_CHECKS)]
+    for argv in runs:
+        built.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert len(built) <= 30, argv  # the order-6 census has 112 rows
+
+
+def _write_graph6(path, m, bits):
+    """graph6 lines of an order-m pair-bit batch: the order character, then
+    the pair bits in their own order, six to a character."""
+    n, pairs = bits.shape
+    padded = np.zeros((n, -(-pairs // 6) * 6), np.uint8)
+    padded[:, :pairs] = bits
+    chars = padded.reshape(n, -1, 6) @ (1 << np.arange(5, -1, -1)) + 63
+    lines = np.column_stack([np.full(n, m + 63), chars, np.full(n, ord("\n"))])
+    path.write_bytes(lines.astype(np.uint8).tobytes())
+
+
+def test_census_order9_matches_the_same_census_from_file(capsys, tmp_path,
+                                                         monkeypatch, census9):
+    # census --order 9 through the CLI, its enumeration the session's
+    # order-9 census rather than a second one
+    enumerate_ = census._enumerate
+    monkeypatch.setattr(census, "_enumerate",
+                        lambda m: census9 if m == 9 else enumerate_(m))
+    f = tmp_path / "census9.g6"
+    _write_graph6(f, *census9)
+    by_order = _census_outputs(capsys, tmp_path / "order", "--order", "9",
+                               "--threads", "2")
+    assert by_order == _census_outputs(capsys, tmp_path / "file", "--file",
+                                       str(f), "--threads", "2")
+    assert (by_order[0], by_order[2]) == (0, "")
+    assert by_order[1][0] == "order 9 count 261080 rejected_disconnected 0"
