@@ -5,17 +5,19 @@ range of perturbation sizes), applies the corresponding bound or closed-form
 check, and reports how many cases were checked, how many were skipped as
 out of premise, and the identifiers of any failures (graph6 strings where a
 graph is the subject, otherwise a readable parameter tag).  The census
-suites, the classical extremes among them, read one census of the requested
-order; run_check turns a suite's tally into a named SuiteResult.
+suites, every suite but prop1, prop3 and prop4, read one census of the
+requested order; run_check turns a suite's tally into a named SuiteResult.
 
-The census suites read order-checked pair-bit batches (graphs.py) from
+run_check is the one place that opens a census: it hands each census
+suite the order-checked pair-bit batches (graphs.py) of
 census._census_source, the one choice between a graph6 file and the
 built-in enumeration, so neither becomes a Graph per census row.  The
-bound suites (prop2a, bipartite-bound, vertex-add) cut them into blocks
-of SWEEP_BLOCK graphs and run each bound's pair-bit form once per block,
-which gives masks of the graphs it applies to and holds for; only a
-failing graph becomes a graph6 string.  The power maximum and the
-classical extremes each come from one census._census_report of the same
+bound suites (prop2a, bipartite-bound, vertex-add) are rows of _BOUNDS,
+each its pair-bit bound columns with their failure tags: _sweep cuts the
+batches into blocks of SWEEP_BLOCK graphs and runs each column once per
+block, which gives masks of the graphs a bound applies to and holds for;
+only a failing graph becomes a graph6 string.  The power maximum and the
+classical extremes each come from one census._census_report of the
 batches.  Either way the blocks run in census._ordered, the thread window
 of the census, and are folded in census order, so a result is the same
 for any thread count.
@@ -61,6 +63,8 @@ class NoCensusError(ValueError):
 # what a suite function returns: cases checked, cases skipped as out of
 # premise, and the failure tags
 Tally = tuple[int, int, tuple[str, ...]]
+# a census as run_check hands it to a suite: (order, pair bits) batches
+Batches = Iterator[tuple[int, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
     yield from rec(total, 1, ())
 
 
-def _census_batches(order: int, path: str | None) -> Iterator[tuple[int, np.ndarray]]:
+def _census_batches(order: int, path: str | None) -> Batches:
     """The census a suite sweeps, as the order and pair bits of the
     batches of census._census_source: the connected graphs of each block
     of the graph6 file at ``path``, else the built-in enumeration of
@@ -101,11 +105,13 @@ def _census_batches(order: int, path: str | None) -> Iterator[tuple[int, np.ndar
         yield m, bits
 
 
-def _sweep(order: int, path: str | None, threads: int,
-           *bounds: tuple[str, Callable[[int, np.ndarray], tuple]]) -> Tally:
-    """Every (tag prefix, bound) pair on every census graph.
+def _sweep(batches: Batches, threads: int,
+           bounds: tuple[tuple[str, Callable[[int, np.ndarray], tuple]], ...]
+           ) -> Tally:
+    """Every (tag prefix, bound column) pair of a _BOUNDS row on every
+    census graph.
 
-    The census is cut into blocks of SWEEP_BLOCK graphs, and each bound
+    The batches are cut into blocks of SWEEP_BLOCK graphs, and each bound
     runs once per block on its order and pair bits, the blocks on threads
     threads through census._ordered; their tallies are summed in block
     order.  A graph that some bound does not apply to is skipped; each
@@ -124,7 +130,7 @@ def _sweep(order: int, path: str | None, threads: int,
 
     failures: list[str] = []
     checked = skipped = 0
-    blocks = census._chunks(_census_batches(order, path), SWEEP_BLOCK)
+    blocks = census._chunks(batches, SWEEP_BLOCK)
     for block_checked, block_skipped, block_failures in census._ordered(
             tally, blocks, threads):
         checked += block_checked
@@ -158,13 +164,6 @@ def check_multipartite_bounds(order: int) -> Tally:
     return checked, 0, tuple(failures)
 
 
-def check_nonmultipartite_bounds(order: int, path: str | None = None,
-                                 threads: int = 1) -> Tally:
-    """Census sweep of the gap/ind bounds for non complete multipartite graphs."""
-    return _sweep(order, path, threads,
-                  ("", multipartite._nonmultipartite_columns))
-
-
 # the two order-7 maximizers of the power index and their exact spectra
 _POW7_SPECTRA = (
     (6.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0),
@@ -172,14 +171,13 @@ _POW7_SPECTRA = (
 )
 
 
-def check_power_maximum(order: int, path: str | None = None,
-                        threads: int = 1) -> Tally:
+def check_power_maximum(order: int, batches: Batches, threads: int) -> Tally:
     """max power == 2*(order-1) for order <= 7, witnessed by the complete
     graph; at order 7 by exactly two graphs with known spectra."""
     if order > 7:
         raise ValueError("the power-maximum statement covers orders <= 7")
     failures = []
-    report = census._census_report(_census_batches(order, path), threads=threads)
+    report = census._census_report(batches, threads=threads)
     value, labels, overflow = report.stats["pow"].finalize().extreme("max")
     expected = 2.0 * (order - 1)
     if abs(value - expected) > _TOL:
@@ -191,12 +189,11 @@ def check_power_maximum(order: int, path: str | None = None,
         if len(witnesses) != 2 or overflow:
             failures.append(f"expected 2 witnesses, got {len(witnesses)}")
         else:
-            spectra = sorted(
-                tuple(round(float(v), 6) for v in eigen.spectrum(g)) for g in witnesses
-            )
+            spectra = sorted(tuple(map(float, eigen.spectrum(g))) for g in witnesses)
             for got, want in zip(spectra, sorted(_POW7_SPECTRA)):
                 if max(abs(a - b) for a, b in zip(got, want)) > _TOL:
-                    failures.append(f"unexpected witness spectrum {got}")
+                    tag = tuple(round(v, 6) for v in got)
+                    failures.append(f"unexpected witness spectrum {tag}")
     elif len(witnesses) != 1:
         failures.append(f"expected a unique witness, got {len(witnesses)}")
     return report.count, 0, tuple(failures)
@@ -230,12 +227,6 @@ def _edge_family(max_part: int, closed_form: Callable, build: Callable,
     return max(max_part - 1, 0), 0, tuple(failures)
 
 
-def check_bipartite_bound(order: int, path: str | None = None,
-                          threads: int = 1) -> Tally:
-    """Census sweep of the gap bound for bipartite, non complete bipartite graphs."""
-    return _sweep(order, path, threads, ("", multipartite._bipartite_columns))
-
-
 # witnesses the classical extremes name
 
 def _is_complete(g: Graph) -> bool:
@@ -255,8 +246,7 @@ def _is_balanced_complete_bipartite(g: Graph) -> bool:
     return detect_complete_multipartite(g) == tuple(sorted((m // 2, m - m // 2)))
 
 
-def check_classical(order: int, path: str | None = None,
-                    threads: int = 1) -> Tally:
+def check_classical(order: int, batches: Batches, threads: int) -> Tally:
     """The five textbook extremes, read off one batched census.
 
     Each check pins the extreme value and requires the unique witness the
@@ -264,7 +254,7 @@ def check_classical(order: int, path: str | None = None,
     when the witness is wrong or not unique.  ``checked`` counts the checks.
     """
     m = order
-    stats = census._census_report(_census_batches(m, path), threads=threads).stats
+    stats = census._census_report(batches, threads=threads).stats
     specs = (
         ("max lambda_max", "lambda_max", "max", float(m - 1), _is_complete),
         ("min lambda_max", "lambda_max", "min",
@@ -286,42 +276,48 @@ def check_classical(order: int, path: str | None = None,
     return len(specs), 0, tuple(failures)
 
 
-def check_vertex_addition(order: int, path: str | None = None,
-                          threads: int = 1) -> Tally:
-    """Cone and pendant eigenvalue bounds on every census graph."""
-    return _sweep(order, path, threads,
-                  ("cone:", multipartite._cone_columns),
-                  ("pendant:", multipartite._pendant_columns))
-
-
-# suite name -> (suite function, whether it sweeps a census)
-_SUITES = {
-    "prop1": (check_multipartite_bounds, False),
-    "prop2a": (check_nonmultipartite_bounds, True),
-    "prop2b": (check_power_maximum, True),
-    "prop3": (check_minus_edge_family, False),
-    "prop4": (check_plus_edge_family, False),
-    "bipartite-bound": (check_bipartite_bound, True),
-    "classical": (check_classical, True),
-    "vertex-add": (check_vertex_addition, True),
+CHECK_NAMES = ("prop1", "prop2a", "prop2b", "prop3", "prop4",
+               "bipartite-bound", "classical", "vertex-add")
+# the suites that read no census take the order alone
+_FAMILIES = {"prop1": check_multipartite_bounds,
+             "prop3": check_minus_edge_family, "prop4": check_plus_edge_family}
+# bound suite -> its (failure tag prefix, pair-bit bound column) pairs:
+# prop2a the gap/ind bounds off the complete multipartite graphs,
+# bipartite-bound the gap bound off the complete bipartite ones, and
+# vertex-add the cone and pendant eigenvalue bounds on every graph
+_BOUNDS = {
+    "prop2a": (("", multipartite._nonmultipartite_columns),),
+    "bipartite-bound": (("", multipartite._bipartite_columns),),
+    "vertex-add": (("cone:", multipartite._cone_columns),
+                   ("pendant:", multipartite._pendant_columns)),
 }
-CHECK_NAMES = tuple(_SUITES)
+# the report suites read one census._census_report of the batches
+_REPORTS = {"prop2b": check_power_maximum, "classical": check_classical}
 
 
 def run_check(name: str, order: int, path: str | None = None,
               threads: int = 1) -> SuiteResult:
     """Run a named suite; ``order`` is the census order, or the largest part
-    size for the perturbation families.  Census suites read the graph6 file
-    at ``path`` when one is given, else the built-in enumeration, and run
-    their blocks on ``threads`` threads with the same result for any
-    count; the other suites ignore ``threads``, and a path given to one of
-    them raises NoCensusError."""
+    size for the perturbation families.
+
+    prop1, prop3 and prop4 read no census: they ignore ``threads``, and a
+    path given to one of them raises NoCensusError.  For every other suite
+    this is the one place a census is opened: the graph6 file at ``path``
+    when one is given, else the built-in enumeration, as the lazy batches
+    of _census_batches, so a suite's own argument checks come before any
+    file is read or graph enumerated.  A bound suite sweeps them with its
+    _BOUNDS row, a report suite gets them whole, and either runs its
+    blocks on ``threads`` threads with the same result for any count."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if name not in _SUITES:
+    if name not in CHECK_NAMES:
         raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
-    suite, sweeps_census = _SUITES[name]
-    if path is not None and not sweeps_census:
-        raise NoCensusError(f"check {name} reads no census; it takes no graph6 file")
-    tally = suite(order, path, threads) if sweeps_census else suite(order)
-    return SuiteResult(name, *tally)
+    if name in _FAMILIES:
+        if path is not None:
+            raise NoCensusError(f"check {name} reads no census; "
+                                "it takes no graph6 file")
+        return SuiteResult(name, *_FAMILIES[name](order))
+    batches = _census_batches(order, path)
+    if name in _BOUNDS:
+        return SuiteResult(name, *_sweep(batches, threads, _BOUNDS[name]))
+    return SuiteResult(name, *_REPORTS[name](order, batches, threads))

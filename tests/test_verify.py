@@ -41,10 +41,11 @@ def test_partitions_are_sorted_tuples():
 
 
 def test_run_check_names():
-    assert set(verify.CHECK_NAMES) == {
+    # the order of the CLI's --check choices
+    assert verify.CHECK_NAMES == (
         "prop1", "prop2a", "prop2b", "prop3", "prop4",
         "bipartite-bound", "classical", "vertex-add",
-    }
+    )
     with pytest.raises(ValueError):
         run_check("prop99", 5)
 
@@ -67,6 +68,29 @@ def test_prop2a_census():
 def test_prop2b_power_maximum():
     assert run_check("prop2b", 5).passed
     assert run_check("prop2b", 7).passed
+
+
+def test_prop2b_witness_spectra_are_compared_unrounded(monkeypatch):
+    # a shift far below the tags' six decimals but above the tolerance
+    # fails both order-7 witnesses; the tags still show rounded spectra
+    spectrum = eigen.spectrum
+    monkeypatch.setattr(eigen, "spectrum", lambda g: spectrum(g) + 2e-7)
+    result = run_check("prop2b", 7)
+    assert result.failures == tuple(
+        f"unexpected witness spectrum {tuple(map(float, want))}"
+        for want in sorted(verify._POW7_SPECTRA))
+
+
+@pytest.mark.parametrize("path", [None, "/nonexistent.g6"])
+def test_prop2b_order_limit_comes_before_the_census(monkeypatch, path):
+    def no_census(order):
+        raise AssertionError(f"order {order} was enumerated")
+
+    monkeypatch.setattr(census, "_enumerate", no_census)
+    with pytest.raises(ValueError) as err:
+        run_check("prop2b", 8, path)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "the power-maximum statement covers orders <= 7"
 
 
 def test_prop3_prop4_families():
@@ -322,7 +346,7 @@ def test_sweep_failures_keep_census_order_on_threads(census7, monkeypatch,
         failing = [graph6.encode(g) in chosen for g in _to_graphs(m, bits)]
         return why, holds & ~np.array(failing, bool), fields
 
-    monkeypatch.setattr(multipartite, "_nonmultipartite_columns", rigged)
+    monkeypatch.setitem(verify._BOUNDS, "prop2a", (("", rigged),))
     monkeypatch.setattr(verify, "SWEEP_BLOCK", 7)
     result = run_check("prop2a", 7, threads=threads)
     assert len(chosen) > 10
