@@ -88,7 +88,6 @@ from .multipartite import (
     tripartite_roots,
 )
 from .census import (
-    CANON_MAX_ORDER,
     KNOWN_CONNECTED_COUNTS,
     CensusReport,
     DisconnectedInputError,

@@ -15,17 +15,17 @@ their lower-twin masks and, from a complete census, the canonical-deletion
 filter from their degrees and the component table of every parent with
 one vertex deleted (see _extend).  No candidate is re-analysed before its
 search.
-_enumerate runs that extension from the one-vertex graph as pair bits,
-checking each step's count, up to order 9 (CANON_MAX_ORDER), the whole
-order-9 census in seconds; enumerate_connected hands its classes out as
-Graphs.  The cap stops at 9 because order 10 is a run of minutes whose
-final unpackbits of 11,716,571 x 45 pair bits alone is 527 MB (see
-_extend).  Larger orders come from graph6 files.
+_enumerate runs that extension from the one-vertex graph for the orders
+whose class count KNOWN_CONNECTED_COUNTS holds, 1 to 10, checking each
+step's count; between steps the census is its int64 forms, which
+_form_bits decodes to the next step's parents.  enumerate_connected hands
+the classes out as Graphs.  Forms hold orders up to FORM_MAX_ORDER, which
+bounds canonical_bits and extend_census.
 
 The census path is columnar, and there is one of it.  _census_source
 chooses what the CLI and the verify suites read: a Graph6Source over a
-graph6 file, or _Enumeration, the built-in census as one batch of
-_enumerate's pair bits.  Both hand over (order, pair bits, numbers)
+graph6 file, or _Enumeration, the built-in census, its forms decoded
+SOURCE_BLOCK at a time.  Both hand over (order, pair bits, numbers)
 batches.  Graph6Source reads its file in blocks of raw lines and decodes
 a block of one order byte and width in one numpy pass into pair bits
 (graphs.py), one row per graph; other blocks go line by line through
@@ -65,7 +65,6 @@ from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
 
 log = logging.getLogger(__name__)
 
-CANON_MAX_ORDER = 9
 HIST_BIN_WIDTH = 0.1
 SOURCE_BLOCK = 2048  # file lines per block that Graph6Source reads
 CHUNK_SIZE = 2048  # graphs per eigensolved chunk unless a caller says otherwise
@@ -171,13 +170,14 @@ def _canonical_forms(m: int, bits: np.ndarray) -> np.ndarray:
     pairs that reach it, deduped per row by sorting int64 keys: the row
     number above one 4-bit nibble per vertex, the 1-based rank of its cell
     (0 once labeled).  Rows never interact.  Forms are exact up to order
-    FORM_MAX_ORDER (55 pair bits), and the keys hold up to 2^(63 - 4m)
-    rows; ValueError beyond either.
+    FORM_MAX_ORDER (55 pair bits), OrderTooLargeError beyond it; the keys
+    hold up to 2^(63 - 4m) rows, ValueError beyond them.
     """
     n = len(bits)
-    if m > FORM_MAX_ORDER or n >> (63 - 4 * m):
-        raise ValueError(f"canonical forms of {n} rows of order {m} overflow "
-                         "int64")
+    if m > FORM_MAX_ORDER:
+        raise OrderTooLargeError(f"canonical forms of order {m} overflow int64")
+    if n >> (63 - 4 * m):
+        raise ValueError(f"canonical forms of {n} rows of order {m} overflow int64")
     out = np.zeros(n, np.int64)
     if m < 2 or not n:
         return out
@@ -225,26 +225,23 @@ def _canonical_forms(m: int, bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_canon_order(order: int) -> None:
-    if order > CANON_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"canonical forms are supported up to order {CANON_MAX_ORDER}"
-        )
-
-
 def canonical_bits(g: Graph) -> int:
-    """Smallest edge bitset over all relabelings of g (order <= 9).
-
-    Computed by the exact refinement search of _canonical_forms.
-    """
-    _check_canon_order(g.order)
+    """Smallest edge bitset over all relabelings of g, by the exact
+    refinement search of _canonical_forms (order <= FORM_MAX_ORDER)."""
     return int(_canonical_forms(*_pair_bits([g]))[0])
 
 
+def _form_bits(m: int, forms: np.ndarray) -> np.ndarray:
+    """The pair bits of order-m forms (int64 edge bitsets), one uint8 row
+    per form."""
+    return np.unpackbits(forms.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
+                         axis=1, count=pair_count(m), bitorder="little")
+
+
 def _extend(m: int, parents: np.ndarray, complete: bool) -> tuple[int, np.ndarray]:
-    """Order m + 1 and the pair bits of the canonical classes of the
+    """Order m + 1 and the forms of the canonical classes of the
     one-vertex extensions of the connected order-m graphs with these pair
-    bits, one uint8 row per class, ascending as forms.
+    bits, ascending int64.
 
     A candidate row is its parent's bits followed by the attach column
     (pair (i, m) set iff the new vertex m is joined to i, i in the attach
@@ -264,8 +261,7 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> tuple[int, np.ndarra
     deletes to some parent's class, and the candidate that attaches the
     new vertex where w sat (up to twin swaps) has only cut vertices of
     larger degree.  The candidates a block keeps run the refinement search
-    in one call; the distinct forms of all calls are decoded back to pair
-    bits.
+    in one call; the distinct forms of all calls are the result.
     """
     members, popcount = _mask_tables(m)[:2]
     attach, sets = members[1:].astype(np.uint8), np.arange(1, 1 << m, dtype=np.uint16)
@@ -285,38 +281,40 @@ def _extend(m: int, parents: np.ndarray, complete: bool) -> tuple[int, np.ndarra
         rows_of, attach_of = np.nonzero(keep)
         rows = np.concatenate([parents[block][rows_of], attach[attach_of]], 1)
         forms.append(_canonical_forms(m + 1, rows))
-    forms = np.sort(np.concatenate(forms))
-    forms = forms[np.concatenate(([True], forms[1:] != forms[:-1]))]
-    return m + 1, np.unpackbits(forms.astype("<i8").view(np.uint8).reshape(-1, 8),
-                                axis=1, count=pair_count(m + 1), bitorder="little")
+    forms = np.concatenate(forms)
+    forms.sort()
+    return m + 1, forms[np.concatenate(([True], forms[1:] != forms[:-1]))]
 
 
 def enumerate_connected(m: int) -> list[Graph]:
     """All connected graphs on m vertices, one canonical graph per class,
     in ascending bitset order: the Graphs of _enumerate(m)."""
-    return _to_graphs(*_enumerate(m))
+    return [Graph(m, form) for form in _enumerate(m)[1].tolist()]
 
 
 def _enumerate(m: int) -> tuple[int, np.ndarray]:
-    """The order and pair bits of every connected class of order m, one
-    row per class, ascending as forms.
+    """The order and form of every connected class of order m, ascending
+    int64.
 
     Built by extending the one-vertex graph one vertex at a time (see
     extend_census), each step from a complete census, so both of its
     filters apply; a step that yields other than KNOWN_CONNECTED_COUNTS
-    classes raises RuntimeError.  Canonical forms cap m at
-    CANON_MAX_ORDER, checked before any extension.
+    classes raises RuntimeError.  An order that table lacks raises
+    OrderTooLargeError before any extension.
     """
     if m < 1:
         raise ValueError("order must be positive")
-    _check_canon_order(m)
-    k, bits = 1, np.zeros((1, 0), np.uint8)
+    if m not in KNOWN_CONNECTED_COUNTS:
+        raise OrderTooLargeError(
+            f"the built-in census stops at order {max(KNOWN_CONNECTED_COUNTS)}, "
+            "the last known class count")
+    k, forms = 1, np.zeros(1, np.int64)
     while k < m:
-        k, bits = _extend(k, bits, complete=True)
-        if len(bits) != KNOWN_CONNECTED_COUNTS[k]:
-            raise RuntimeError(f"order {k}: built {len(bits)} classes, "
+        k, forms = _extend(k, _form_bits(k, forms), complete=True)
+        if len(forms) != KNOWN_CONNECTED_COUNTS[k]:
+            raise RuntimeError(f"order {k}: built {len(forms)} classes, "
                                f"not {KNOWN_CONNECTED_COUNTS[k]}")
-    return k, bits
+    return k, forms
 
 
 def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
@@ -329,30 +327,29 @@ def extend_census(graphs: Sequence[Graph]) -> list[Graph]:
     non-cut vertex of any connected graph lands back in the order-m census.
 
     Attach sets that differ by a swap of twins of their graph are built
-    once (twin pruning, for any input).  When the input is the whole
+    once (twin pruning, for any input).  When the input holds the whole
     census, KNOWN_CONNECTED_COUNTS[m] distinct classes, the
     canonical-deletion filter of _extend also drops each candidate whose
     class another route builds, one that deletes a vertex of larger degree;
     for any other input it does not apply, since a connected deletion of a
     candidate need not be one of the input graphs.  Either way the result
     is every class one vertex away from the input.  DisconnectedInputError
-    if an input graph is not connected.
+    if an input graph is not connected, OrderTooLargeError past FORM_MAX_ORDER.
     """
     if not graphs:
         raise EmptySourceError("no graphs to extend")
     m = graphs[0].order
     if any(g.order != m for g in graphs):
         raise MixedOrdersError("extend_census needs a single-order census")
-    _check_canon_order(m + 1)
     _, bits = _pair_bits(graphs)
     disconnected = np.flatnonzero(~_connected_rows(m, bits))
     if len(disconnected):
         raise DisconnectedInputError(
             f"extend_census needs connected graphs; graph {disconnected[0]} "
             "is not connected")
-    complete = len(graphs) == KNOWN_CONNECTED_COUNTS[m] and len(
-        set(_canonical_forms(m, bits).tolist())) == len(graphs)
-    return _to_graphs(*_extend(m, bits, complete))
+    classes = set(_canonical_forms(m, bits).tolist())
+    complete = len(classes) == KNOWN_CONNECTED_COUNTS.get(m)
+    return [Graph(m + 1, form) for form in _extend(m, bits, complete)[1].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +442,17 @@ def _blocks(graphs: Iterable[Graph], size: int) -> Iterator[tuple[int, np.ndarra
 @dataclass
 class _Enumeration:
     """The built-in census of one order as a source, the counterpart of a
-    Graph6Source: _enumerate's classes in one batch, numbered from 1.  It
-    rejects none, so it has no rejected_disconnected; run_census reads a
-    missing count as 0."""
+    Graph6Source: _enumerate's forms decoded SOURCE_BLOCK at a time and
+    numbered from 1.  It rejects none, so it has no rejected_disconnected;
+    run_census reads a missing count as 0."""
 
     order: int
 
     def _batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        m, bits = _enumerate(self.order)
-        yield m, bits, np.arange(1, len(bits) + 1)
+        m, forms = _enumerate(self.order)
+        for start in range(0, len(forms), SOURCE_BLOCK):
+            bits = _form_bits(m, forms[start:start + SOURCE_BLOCK])
+            yield m, bits, start + 1 + np.arange(len(bits))
 
 
 def _census_source(order: int | None, path: str | None

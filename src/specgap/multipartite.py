@@ -111,14 +111,17 @@ class AnalyticSpectrum:
 
     def values(self) -> np.ndarray:
         """Expanded spectrum, descending."""
-        vals = np.repeat(
-            [e.value for e in self.entries],
-            [e.multiplicity for e in self.entries],
-        )
-        return np.sort(vals)[::-1]
+        return np.sort(np.repeat([e.value for e in self.entries],
+                                 [e.multiplicity for e in self.entries]))[::-1]
 
     def indices(self) -> SpectralIndices:
-        return compute_indices(self.values())
+        """The indices from the distinct values and multiplicities, at
+        any order.  Zero tolerance _CROSS_CHECK_TOL: nonzero closed forms
+        have |value| >= 0.32 and zeros are exact, while the default,
+        1e-9 x order, would swallow the values near +-1 from order 10^9."""
+        vals, mult = np.array([(e.value, e.multiplicity) for e in self.entries]).T
+        table = index_table(np.sort(vals)[None, ::-1], _CROSS_CHECK_TOL)
+        return index_rows({**table, "pow": np.abs(vals) @ mult[:, None]})[0]
 
 
 def _normalize_parts(parts: Sequence[int]) -> tuple[int, ...]:

@@ -38,8 +38,8 @@ def census8_path():
 
 @pytest.fixture(scope="session")
 def census9(census8_path):
-    """The order-9 census as (9, pair bits), one row per class, ascending
-    as forms: the whole extension of the committed order-8 census, built
+    """The order-9 census as (9, forms), one int64 form per class,
+    ascending: the whole extension of the committed order-8 census, built
     once per session."""
     source = census.Graph6Source(census8_path)
     bits = np.concatenate([bits for _, bits, _ in source._batches()])

@@ -79,15 +79,22 @@ def test_enumeration_properties(census5):
     assert [g.bits for g in census5] == sorted(bits_seen)
 
 
-def test_enumeration_order_cap():
+def _no_extension(m, parents, complete):
+    raise AssertionError(f"order {m} was extended")
+
+
+def test_enumeration_order_cap(monkeypatch):
+    # the known class counts bound the enumeration, the int64 forms the
+    # search; both raise before any extension, so a wrong cap fails fast
+    monkeypatch.setattr(census, "_extend", _no_extension)
     with pytest.raises(ValueError):
         enumerate_connected(0)
-    with pytest.raises(OrderTooLargeError):
-        enumerate_connected(10)
-    with pytest.raises(OrderTooLargeError):
-        canonical_bits(Graph(10, 0))
-    with pytest.raises(OrderTooLargeError):
-        extend_census([complete(9)])
+    with pytest.raises(OrderTooLargeError, match="stops at order 10"):
+        enumerate_connected(11)
+    with pytest.raises(OrderTooLargeError, match="order 12 overflow"):
+        canonical_bits(Graph(12, 0))
+    with pytest.raises(OrderTooLargeError, match="order 12 overflow"):
+        extend_census([complete(12)])
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +285,12 @@ def test_extend_census(census4, census5, census6, census7):
         extend_census([])
     with pytest.raises(MixedOrdersError):
         extend_census([Graph(3, 3), Graph(4, 7)])
-    with pytest.raises(OrderTooLargeError):
-        extend_census([complete(9)])
+    # K9 plus a vertex joined to 1 to 9 of its vertices; order 12 overflows
+    # in the search of the first candidates
+    assert sorted(g.edge_count for g in extend_census([complete(9)])) == list(
+        range(37, 46))
+    with pytest.raises(OrderTooLargeError, match="order 12 overflow"):
+        extend_census([complete(11)])
 
 
 def test_extend_census_rejects_disconnected_input(census4):
@@ -378,9 +389,7 @@ def test_canonical_deletion_filter_loses_no_class(m):
     order, got = census._extend(m, bits, complete=True)
     unfiltered = census._extend(m, bits, complete=False)
     assert order == unfiltered[0] == m + 1 and np.array_equal(got, unfiltered[1])
-    assert got.dtype == np.uint8 and got.shape[1] == pair_count(m + 1)
-    forms = [g.bits for g in _to_graphs(order, got)]
-    assert all(a < b for a, b in zip(forms, forms[1:]))
+    assert got.dtype == np.int64 and (got[1:] > got[:-1]).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -438,25 +447,21 @@ def test_extend_census_regenerates_committed_file(census8_path):
 @pytest.mark.slow
 def test_order9_extension_of_committed_census8(census9):
     # the whole order-9 census: every connected class, pinned by its digest
-    order, got = census9
-    assert order == 9 and len(got) == KNOWN_CONNECTED_COUNTS[9]
-    assert _connected_rows(9, got).all()
-    text = ",".join(str(g.bits) for g in _to_graphs(9, got))
+    order, forms = census9
+    assert order == 9 and len(forms) == KNOWN_CONNECTED_COUNTS[9]
+    assert _connected_rows(9, census._form_bits(9, forms)).all()
+    text = ",".join(map(str, forms.tolist()))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7d9e795bafed0197"
 
 
 def test_order9_census_holds_every_sampled_connected_graph(census9):
     # completeness without the extension: the canonical form of each
     # connected graph among 60,000 random order-9 edge sets is a class
-    _, classes = census9
-    packed = np.zeros((len(classes), 8), np.uint8)
-    packed[:, :5] = np.packbits(classes, axis=1, bitorder="little")
-    forms = packed.view("<i8").ravel()
+    _, forms = census9
     assert (forms[1:] > forms[:-1]).all()
     masks = np.random.default_rng(90125).integers(0, 1 << 36, size=60000,
                                                  dtype=np.uint64)
-    bits = np.unpackbits(masks.astype("<u8").view(np.uint8).reshape(-1, 8),
-                         axis=1, count=pair_count(9), bitorder="little")
+    bits = census._form_bits(9, masks)
     bits = bits[_connected_rows(9, bits)]
     assert len(bits) == 57878
     sampled = census._canonical_forms(9, bits)
@@ -698,6 +703,20 @@ def test_census_of_a_file_matches_the_census_of_its_graphs(order, data,
             # the same chunk sizes; threads may solve them in any order
             assert sorted(cuts[0]) == sorted(cuts[1])
             assert src.rejected_disconnected == len(masks) + 1 - len(graphs)
+
+
+def test_enumeration_source_batches_are_source_blocks(monkeypatch):
+    # the built-in census reaches _chunks in the block shape of a graph6
+    # file: SOURCE_BLOCK rows a batch, numbered on from 1
+    monkeypatch.setattr(census, "SOURCE_BLOCK", 100)
+    batches = list(census._census_source(7, None)._batches())
+    assert [len(bits) for _, bits, _ in batches] == [100] * 8 + [53]
+    assert {m for m, _, _ in batches} == {7}
+    _, forms = census._enumerate(7)
+    assert np.array_equal(np.concatenate([bits for _, bits, _ in batches]),
+                          _pair_bits([Graph(7, f) for f in forms.tolist()])[1])
+    assert np.array_equal(np.concatenate([reads for *_, reads in batches]),
+                          np.arange(1, 854))
 
 
 @pytest.mark.parametrize("lines", [0, 1, census.SOURCE_BLOCK,

@@ -73,6 +73,17 @@ def test_perturbed_command(capsys):
     assert "-1.000000\t1\tclosed_form" in out
 
 
+@pytest.mark.parametrize("family", ["kmm_minus_e", "kmm_plus_e"])
+@pytest.mark.parametrize("m", [10 ** 9, 10 ** 11])
+def test_perturbed_command_at_huge_part_sizes(capsys, family, m):
+    # the indices come from the multiplicities, and the values near +-1
+    # stay nonzero however large the order
+    code, out, err = run(capsys, "perturbed", "--family", family, "--m", str(m))
+    assert (code, err) == (0, "")
+    lines = dict(line.split(" ", 1) for line in out.splitlines() if " " in line)
+    assert float(lines["gap_limit_residual"]) <= 1e-6
+
+
 def test_census_command(capsys, tmp_path):
     code, out, _ = run(capsys, "census", "--order", "4",
                        "--out", str(tmp_path), "--threads", "1")
@@ -375,6 +386,24 @@ def test_order_one_is_a_typed_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--order", "11"),
+    ("extremal", "--order", "11", "--index", "gap", "--dir", "min"),
+    ("verify", "--check", "classical", "--order", "11"),
+])
+def test_order_past_the_known_counts_builds_nothing(capsys, tmp_path,
+                                                    monkeypatch, argv):
+    def no_extension(m, parents, complete):
+        raise AssertionError(f"order {m} was extended")
+
+    monkeypatch.setattr(census, "_extend", no_extension)
+    argv = [*argv, "--out", str(tmp_path)] if argv[0] == "census" else argv
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: the built-in census stops at order 10, the last "
+                   "known class count\n")
+
+
 def test_unexpected_exception_is_not_exit_one(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("boom")
@@ -550,7 +579,7 @@ def test_census_order9_matches_the_same_census_from_file(capsys, tmp_path,
     monkeypatch.setattr(census, "_enumerate",
                         lambda m: census9 if m == 9 else enumerate_(m))
     f = tmp_path / "census9.g6"
-    _write_graph6(f, *census9)
+    _write_graph6(f, 9, census._form_bits(*census9))
     by_order = _census_outputs(capsys, tmp_path / "order", "--order", "9",
                                "--threads", "2")
     assert by_order == _census_outputs(capsys, tmp_path / "file", "--file",

@@ -206,6 +206,21 @@ def test_plus_family_limits():
         assert abs(r2 - (1.0 - 2.0 / m - 2.0 / m ** 3)) <= 10.0 / m ** 4
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(1, 9), min_size=2, max_size=5).map(mp.multipartite_spectrum),
+    st.integers(2, 300).map(mp.kmm_minus_e_spectrum),
+    st.integers(2, 300).map(mp.kmm_plus_e_spectrum)))
+def test_analytic_indices_match_the_expanded_spectrum(spec):
+    # from distinct values and multiplicities, as the expanded spectrum
+    # gives them with the default tolerance
+    got, want = spec.indices(), compute_indices(spec.values())
+    for name in ("lambda_max", "lambda_min", "lambda_plus", "lambda_minus",
+                 "gap", "ind"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.power == pytest.approx(want.power, rel=1e-12)
+
+
 def test_perturbed_validation():
     with pytest.raises(mp.InvalidOrderError):
         mp.kmm_minus_e_spectrum(1)
