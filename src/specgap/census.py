@@ -31,8 +31,10 @@ a block of one order byte and width in one numpy pass into pair bits
 (graphs.py), one row per graph; other blocks go line by line through
 graph6.decode, so every error keeps its file:line text.  Connectivity is
 decided per block on the pair bits, and _chunks regroups the connected
-rows into chunks of exactly chunk_size graphs, cut at order changes
-(_blocks makes the same cut of a Graph iterable).  run_census eigensolves
+rows into chunks of exactly chunk_size graphs.  A census has one order:
+_chunks is the one place that enforces it, raising MixedOrdersError at the
+first graph of a second order, whatever the chunk size (_blocks cuts a
+Graph iterable into one-order blocks for it).  run_census eigensolves
 each chunk in one batch and merges per-chunk moment accumulators in chunk
 order, so a report depends neither on where the batches fall nor on the
 number of threads.  A Graph is built only for a witness label, or for a
@@ -60,8 +62,7 @@ from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _connected_rows, _neighbors,
                      _pair_bits, _to_graphs, pair_count)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
-from .indices import (INDEX_NAMES, DegenerateSpectrumError, IndexStats,
-                      index_table, indices_batch)
+from .indices import INDEX_NAMES, IndexStats, _require_signs, index_table
 
 log = logging.getLogger(__name__)
 
@@ -169,15 +170,17 @@ def _canonical_forms(m: int, bits: np.ndarray) -> np.ndarray:
     by np.minimum.reduceat over its pairs, and the split partitions of the
     pairs that reach it, deduped per row by sorting int64 keys: the row
     number above one 4-bit nibble per vertex, the 1-based rank of its cell
-    (0 once labeled).  Rows never interact.  Forms are exact up to order
-    FORM_MAX_ORDER (55 pair bits), OrderTooLargeError beyond it; the keys
-    hold up to 2^(63 - 4m) rows, ValueError beyond them.
+    (0 once labeled).  Rows never interact, so a batch of any size is
+    searched EXTEND_BLOCK rows at a time, far below the 2^(63 - 4m) rows
+    the keys hold.  Forms are exact up to order FORM_MAX_ORDER (55 pair
+    bits), OrderTooLargeError beyond it.
     """
     n = len(bits)
     if m > FORM_MAX_ORDER:
         raise OrderTooLargeError(f"canonical forms of order {m} overflow int64")
-    if n >> (63 - 4 * m):
-        raise ValueError(f"canonical forms of {n} rows of order {m} overflow int64")
+    if n > EXTEND_BLOCK:
+        return np.concatenate([_canonical_forms(m, bits[k:k + EXTEND_BLOCK])
+                               for k in range(0, n, EXTEND_BLOCK)])
     out = np.zeros(n, np.int64)
     if m < 2 or not n:
         return out
@@ -501,37 +504,43 @@ class CensusReport:
     rejected_disconnected: int = 0
 
 def _chunk_payload(m: int, bits: np.ndarray, zero_tol: float | None):
-    vals = eigen.spectra_batch(_adjacency(m, bits))
+    """The order of a chunk and the IndexStats and Histogram of each index
+    over its graphs; a degenerate spectrum raises, naming its graph."""
+    per_index = index_table(eigen.spectra_batch(_adjacency(m, bits)), zero_tol)
     witness = functools.cache(
         lambda i: graph6.encode(_to_graphs(m, bits[i:i + 1])[0]))
-    try:
-        per_index = indices_batch(vals, zero_tol)
-    except DegenerateSpectrumError:  # name the graph, not its chunk row
-        row = np.flatnonzero(index_table(vals, zero_tol)["degenerate"])[0]
-        raise DegenerateSpectrumError(f"graph {witness(int(row))}: spectrum "
-                                      "lacks eigenvalues of both signs") from None
+    _require_signs(per_index, lambda row: f"graph {witness(row)}")
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     for name in INDEX_NAMES:
         stats[name].update_many(per_index[name], witness)
         hists[name].update_many(per_index[name])
-    return stats, hists
+    return m, stats, hists
 
 
 def _chunks(batches: Iterable[tuple], size: int) -> Iterator[tuple[int, np.ndarray]]:
     """The rows of consecutive (order, pair bits, ...) batches regrouped
-    into chunks of one order, exactly size rows each but the last before
-    an order change or the end: the cut _blocks makes of the same graphs."""
-    nonempty = (batch for batch in batches if len(batch[1]))
-    for m, run in itertools.groupby(nonempty, lambda batch: batch[0]):
-        rows = None
-        for _, bits, *_ in run:
-            rows = bits if rows is None else np.concatenate([rows, bits])
-            while len(rows) >= size:
-                yield m, rows[:size]
-                rows = rows[size:]
-        if len(rows):
-            yield m, rows
+    into chunks of exactly size rows each but the last, all of the order of
+    the first nonempty batch.  A nonempty batch of another order raises
+    MixedOrdersError as soon as it is read, after the chunk of the rows
+    before it, whatever size is."""
+    order, rows = 0, None
+    for m, bits, *_ in batches:
+        if not len(bits):
+            continue
+        if rows is None:
+            order, rows = m, bits
+        elif m == order:
+            rows = np.concatenate([rows, bits])
+        else:
+            if len(rows):
+                yield order, rows
+            raise MixedOrdersError(f"census mixes orders {order} and {m}")
+        while len(rows) >= size:
+            yield order, rows[:size]
+            rows = rows[size:]
+    if rows is not None and len(rows):
+        yield order, rows
 
 
 def _ordered(fn: Callable, items: Iterable, threads: int) -> Iterator:
@@ -588,24 +597,15 @@ def run_census(source: Iterable[Graph], zero_tol: float | None = None,
 def _census_report(batches: Iterable[tuple], zero_tol: float | None = None,
                    threads: int = 1, chunk_size: int = CHUNK_SIZE) -> CensusReport:
     """The CensusReport of the (order, pair bits, ...) batches of a
-    one-order census.  They are cut by _chunks, each chunk is eigensolved
-    and summarised by _chunk_payload, on threads threads through _ordered,
-    and the summaries are merged in chunk order.  A chunk of another order
-    raises MixedOrdersError when it is read, before it is solved."""
+    one-order census.  They are cut by _chunks, which raises
+    MixedOrdersError at a second order before any of its graphs is solved;
+    each chunk is eigensolved and summarised by _chunk_payload, on threads
+    threads through _ordered, and the summaries are merged in chunk order."""
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     order = 0
-
-    def checked() -> Iterator[tuple[int, np.ndarray]]:
-        nonlocal order
-        for m, bits in _chunks(batches, chunk_size):
-            if order and m != order:
-                raise MixedOrdersError(f"census mixes orders {order} and {m}")
-            order = m
-            yield m, bits
-
-    for st, hs in _ordered(lambda chunk: _chunk_payload(*chunk, zero_tol),
-                           checked(), threads):
+    for order, st, hs in _ordered(lambda chunk: _chunk_payload(*chunk, zero_tol),
+                                  _chunks(batches, chunk_size), threads):
         for name in INDEX_NAMES:
             stats[name].absorb(st[name])
             hists[name].absorb(hs[name])

@@ -105,23 +105,26 @@ def index_rows(table: dict[str, np.ndarray]) -> list[SpectralIndices]:
             for row in zip(*(table[name].tolist() for name in _FIELDS))]
 
 
-def _require_signs(table: dict[str, np.ndarray]) -> None:
-    """DegenerateSpectrumError if a row of an index_table is degenerate."""
-    if table["degenerate"].any():
+def _require_signs(table: dict[str, np.ndarray],
+                   name: Callable[[int], str] | None = None) -> None:
+    """DegenerateSpectrumError if a row of an index_table is degenerate.
+    With name, the one refusal of a census row: the error names the first
+    degenerate row by name(row)."""
+    bad = np.flatnonzero(table["degenerate"])
+    if not bad.size:
+        return
+    if name is None:
         raise DegenerateSpectrumError(
-            "spectrum has no eigenvalues of both signs beyond tolerance"
-        )
+            "spectrum has no eigenvalues of both signs beyond tolerance")
+    raise DegenerateSpectrumError(
+        f"{name(int(bad[0]))}: spectrum lacks eigenvalues of both signs")
 
 
 def indices_batch(vals_desc: np.ndarray, zero_tol: float | None = None
                   ) -> dict[str, np.ndarray]:
-    """index_table of a census chunk, which must hold no degenerate row."""
+    """index_table of a chunk, which must hold no degenerate row."""
     table = index_table(vals_desc, zero_tol)
-    bad = np.flatnonzero(table["degenerate"])
-    if bad.size:
-        raise DegenerateSpectrumError(
-            f"row {bad[0]}: spectrum lacks eigenvalues of both signs"
-        )
+    _require_signs(table, lambda row: f"row {row}")
     return table
 
 

@@ -9,8 +9,9 @@ solve the dispersion equation
 
 whose left-hand side is strictly decreasing between consecutive poles, so
 each root is isolated in a clean bracket.  This module assembles those
-spectra exactly (root-finding to 1e-12), cross-checks them against a dense
-eigensolve of an equivalent k x k matrix, and implements the bound,
+spectra exactly (root-finding to 1e-12, or to adjacent doubles where they
+are wider apart), cross-checks them against a dense eigensolve of an
+equivalent k x k matrix, and implements the bound,
 perturbation, density and vertex-addition results built on top of them.
 
 The census bound checks (the gap/ind bounds for graphs that are not
@@ -32,12 +33,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import eigen
+from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _bfs, _multipartite_rows, _neighbors,
-                     _pair_bits, _unpack)
+                     _pair_bits, _to_graphs, _unpack)
 from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
-from .indices import (SpectralIndices, _require_signs, compute_indices,
-                      index_rows, index_table)
+from .indices import SpectralIndices, _require_signs, index_rows, index_table
 
 # constants of the connected-graph count approximation (anchored at order 9)
 APPROX_ANCHOR_COUNT = 261080.0
@@ -151,6 +151,10 @@ def _dispersion_root(parts: tuple[int, ...], lo: float, hi: float) -> float:
 
     The sum decreases through the bracket, from above 1 (or a pole at lo)
     to below 1 (or a pole at hi); endpoints are approached from inside.
+    Each loop also stops once its next step would not move a double (the
+    endpoint or the current value): a root within rounding of an endpoint
+    ends next to it, and bisection ends at adjacent doubles, which are
+    wider apart than _ROOT_WIDTH from |lambda| = 8192 on.
     """
 
     def f(lam: float) -> float:
@@ -159,16 +163,15 @@ def _dispersion_root(parts: tuple[int, ...], lo: float, hi: float) -> float:
     span = hi - lo
     eps = span / 16.0
     a = lo + eps
-    while f(a) <= 0.0:
+    while f(a) <= 0.0 and lo + eps / 2.0 not in (lo, a):
         eps /= 2.0
         a = lo + eps
     eps = span / 16.0
     b = hi - eps
-    while f(b) >= 0.0:
+    while f(b) >= 0.0 and hi - eps / 2.0 not in (hi, b):
         eps /= 2.0
         b = hi - eps
-    while b - a > _ROOT_WIDTH:
-        mid = 0.5 * (a + b)
+    while b - a > _ROOT_WIDTH and (mid := 0.5 * (a + b)) not in (a, b):
         if f(mid) > 0.0:
             a = mid
         else:
@@ -184,7 +187,8 @@ def multipartite_spectrum(parts: Sequence[int]) -> AnalyticSpectrum:
     distinct -sizes; a single positive dispersion root closes the list
     (equal to m - m/k exactly when all parts are equal); zeros fill the
     remaining m - k slots.  The nonzero values are cross-checked against a
-    dense eigensolve of the equivalent k x k part matrix to 1e-9.
+    dense eigensolve of the equivalent k x k part matrix to 1e-9 times the
+    spectral radius (at least 1): rounding grows with the eigenvalues.
     """
     p = _normalize_parts(parts)
     m, k = sum(p), len(p)
@@ -217,7 +221,7 @@ def multipartite_spectrum(parts: Sequence[int]) -> AnalyticSpectrum:
     analytic = np.sort(np.repeat([e.value for e in nonzero],
                                  [e.multiplicity for e in nonzero]))
     dense = np.sort(eigen.eigvals_symmetric(reduced_part_matrix(p)))
-    if np.max(np.abs(analytic - dense)) > _CROSS_CHECK_TOL:
+    if np.max(np.abs(analytic - dense)) > _CROSS_CHECK_TOL * max(1.0, dense[-1]):
         raise RuntimeError(
             "internal defect: dispersion roots disagree with the dense "
             f"eigensolve for parts {p}"
@@ -433,17 +437,14 @@ class MultipartiteBoundsReport:
 def multipartite_bounds_check(parts: Sequence[int]) -> MultipartiteBoundsReport:
     p = _normalize_parts(parts)
     m, k = sum(p), len(p)
-    spec = multipartite_spectrum(p)
-    vals = spec.values()
-    idx = compute_indices(vals)
+    idx = multipartite_spectrum(p).indices()
     top = m - m / k
     return MultipartiteBoundsReport(
         parts=p,
         order=m,
         idx=idx,
-        spectrum_in_range=bool(
-            vals.min() >= -p[-1] - _SLACK and vals.max() <= top + _SLACK
-        ),
+        spectrum_in_range=(idx.lambda_min >= -p[-1] - _SLACK
+                           and idx.lambda_max <= top + _SLACK),
         lambda_plus_ok=0.0 < idx.lambda_plus <= top + _SLACK,
         lambda_minus_ok=-m / k - _SLACK <= idx.lambda_minus < 0.0,
         gap_ok=idx.gap <= m + _SLACK,
@@ -481,9 +482,11 @@ def _nonmultipartite_columns(m: int, bits: np.ndarray) -> tuple:
     why = np.full(len(bits), "", object)
     why[_multipartite_rows(nb)] = "graph is complete multipartite"
     why[_bfs(nb)[0] != (1 << m) - 1] = "graph is not connected"
-    vals = _spectra(m, bits[why == ""])
+    applies = bits[why == ""]
+    vals = _spectra(m, applies)
     table = index_table(vals)
-    _require_signs(table)
+    _require_signs(table, lambda row: "graph " + graph6.encode(
+        _to_graphs(m, applies[row:row + 1])[0]))
     if m % 2 == 0:
         gap_bound, ind_bound = m - 1.0, m / 2.0
     else:

@@ -200,10 +200,16 @@ def test_canonical_forms_up_to_their_int64_bound():
         assert first == second <= g.bits and first.bit_count() == g.edge_count
     with pytest.raises(ValueError, match="overflow"):
         census._canonical_forms(12, np.zeros((1, pair_count(12)), np.uint8))
-    # the state keys hold 2^(63 - 4m) rows: 2^19 at order 11
-    too_many = np.broadcast_to(np.zeros(pair_count(11), np.uint8), (1 << 19, 55))
-    with pytest.raises(ValueError, match="overflow"):
-        census._canonical_forms(11, too_many)
+    # the state keys hold 2^(63 - 4m) rows, 2^19 at order 11, so a batch
+    # of any size is searched EXTEND_BLOCK rows at a time: sliced at 7
+    # rows, the forms are those of the unsliced search
+    bits = _pair_bits([Graph(10, int(b)) for b in
+                       rng.integers(0, 1 << pair_count(10), 50)])[1]
+    whole = census._canonical_forms(10, bits)
+    with mock.patch.object(census, "EXTEND_BLOCK", 7), mock.patch.object(
+            census, "_canonical_forms", wraps=census._canonical_forms) as spy:
+        assert spy(10, bits).tolist() == whole.tolist()
+    assert [len(c.args[1]) for c in spy.call_args_list] == [50] + [7] * 7 + [1]
     k11 = complete(11)
     assert census._canonical_forms(*_pair_bits([k11])).tolist() == [k11.bits]
     assert census._canonical_forms(3, np.zeros((0, 3), np.uint8)).size == 0
@@ -899,6 +905,49 @@ def test_census_mixed_orders():
                            match="^graph @: spectrum lacks eigenvalues"):
             run_census([Graph(1, 0), complete(2)], threads=threads,
                        chunk_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 9), data=st.data())
+def test_chunks_cut_one_order_then_refuse_the_next(size, data):
+    # batches of one or two orders, empty ones among them: the chunks are
+    # full but the last, hold the first order's rows in order, and
+    # MixedOrdersError follows them as soon as a row of the other is read
+    orders = data.draw(st.lists(st.integers(0, 10), min_size=2, max_size=2,
+                                unique=True))
+    shape = data.draw(st.lists(st.tuples(st.sampled_from(orders),
+                                         st.integers(0, 5)), max_size=12))
+    batches, start = [], 0
+    for m, n in shape:
+        batches.append((m, np.arange(start, start + n).reshape(n, 1), None))
+        start += n
+    pulled = []
+
+    def source():
+        for batch in batches:
+            pulled.append(batch)
+            yield batch
+
+    chunks, error = [], None
+    try:
+        for chunk in census._chunks(source(), size):
+            chunks.append(chunk)
+    except MixedOrdersError as exc:
+        error = str(exc)
+    nonempty = [(m, bits) for m, bits, _ in batches if len(bits)]
+    first = nonempty[0][0] if nonempty else None
+    cut = next((k for k, (m, _) in enumerate(nonempty) if m != first),
+               len(nonempty))
+    sizes = [len(bits) for _, bits in chunks]
+    assert all(n == size for n in sizes[:-1]) and all(0 < n <= size for n in sizes)
+    assert {m for m, _ in chunks} <= {first}
+    assert [r for _, bits in chunks for r in bits.ravel().tolist()] == \
+        [r for _, bits in nonempty[:cut] for r in bits.ravel().tolist()]
+    if cut == len(nonempty):
+        assert (error, len(pulled)) == (None, len(batches))
+    else:
+        assert error == f"census mixes orders {first} and {nonempty[cut][0]}"
+        assert pulled[-1][1] is nonempty[cut][1]
 
 
 class _FnError(Exception):

@@ -1,11 +1,17 @@
 """Command-line interface: output shapes, exit codes, adapter fidelity."""
 
+import contextlib
+import io
+import itertools
 import math
 import os
+import signal
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specgap import census, cli, eigen, graph6, multipartite, verify
 from specgap.graphs import Graph, complete
@@ -58,6 +64,44 @@ def test_multipartite_analytic_makes_no_dense_eigensolve(capsys, monkeypatch):
                    "-1.282824\t1\tdispersion_root\n"
                    "-2.483612\t1\tdispersion_root\n"
                    "gap 5.049259 ind 3.766435 pow 7.532871\n")
+
+
+def _timed_main(argv, seconds):
+    """cli.main(argv), its stdout and its stderr; a call still running
+    after seconds ends as an internal error, exit 2."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(st.integers(1, 10 ** 9), min_size=2, max_size=4))
+@example(parts=[8000, 9000])  # roots where adjacent doubles are > 1e-12 apart
+@example(parts=[10000, 20000])
+@example(parts=[100000000, 100000001])  # top root within rounding of m - m/k
+@example(parts=[10000000, 10000000])  # rounding of eigenvalues near 10^7
+@example(parts=[1, 1000000000])
+def test_multipartite_analytic_at_any_part_size(parts):
+    # every root search ends, and the dense cross-check scales with the
+    # spectrum; two parts a, b have the gap 2 sqrt(ab)
+    code, out, err = _timed_main(
+        ["multipartite", "--parts", ",".join(map(str, parts)), "--analytic"], 5)
+    assert (code, err) == (0, "")
+    last = out.splitlines()[-1].split()
+    assert last[0::2] == ["gap", "ind", "pow"]
+    if len(parts) == 2:
+        assert float(last[1]) == pytest.approx(
+            2.0 * math.sqrt(parts[0] * parts[1]), rel=1e-9, abs=5e-7)
 
 
 def test_perturbed_command(capsys):
@@ -260,6 +304,29 @@ def test_verify_file_of_another_order_is_an_input_error(capsys, census8_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "order 8" in err
+
+
+def test_verify_prop2a_at_order_one_names_the_graph(capsys):
+    code, out, err = run(capsys, "verify", "--check", "prop2a", "--order", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: graph @: spectrum lacks eigenvalues of both signs\n"
+
+
+def test_mixed_order_error_does_not_depend_on_the_chunking(capsys, tmp_path,
+                                                            monkeypatch):
+    # 14 triangles, K4, 13 edgeless order-4 graphs (rejected as
+    # disconnected), then a malformed line, read 5 lines a block: the
+    # order change is read first, whether the triangles fill their chunks
+    # or not, and whatever the threads
+    f = tmp_path / "mixed.g6"
+    f.write_text("Bw\n" * 14 + "C~\n" + "C?\n" * 13 + "C~~\n")
+    monkeypatch.setattr(census, "SOURCE_BLOCK", 5)
+    for chunk_size, threads in itertools.product(("1", "7", "14", "2048"),
+                                                 ("1", "2", "3")):
+        code, out, err = run(capsys, "census", "--file", str(f),
+                             "--chunk-size", chunk_size, "--threads", threads,
+                             "--out", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: census mixes orders 3 and 4\n")
 
 
 def test_verify_mixed_order_file_is_an_input_error(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 from unittest import mock
 
 import numpy as np
@@ -495,6 +496,24 @@ def test_columns_agree_with_the_reports(slack, data):
                        if not isinstance(r, mp.NotApplicableError))
 
 
+def test_dispersion_root_ends_at_a_root_on_its_bracket():
+    # K_{1,1}'s root 1 sits on the near end of (1, 2) and the far end of
+    # (0, 1): each approach from inside reaches its end without a sign
+    # change and stops there, where no step moves a double any more
+    def expire(signum, frame):
+        raise TimeoutError("the root search did not end")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        roots = [mp._dispersion_root((1, 1), 1.0, 2.0),
+                 mp._dispersion_root((1, 1), 0.0, 1.0)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert roots == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
 def test_premised_batches_at_order_one():
     # the one-vertex graph is connected, bipartite and not complete
     # bipartite, and it has no nonzero eigenvalue at all
@@ -502,7 +521,7 @@ def test_premised_batches_at_order_one():
                        match="^zero multiplicity too large for the bound$"):
         mp.bipartite_gap_bound(Graph(1, 0))
     with pytest.raises(DegenerateSpectrumError,
-                       match="^spectrum has no eigenvalues of both signs"):
+                       match="^graph @: spectrum lacks eigenvalues of both signs$"):
         mp.nonmultipartite_bounds_check(Graph(1, 0))
 
 
