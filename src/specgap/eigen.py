@@ -35,7 +35,8 @@ def zero_tolerance(order: int, zero_tol: float | None = None) -> float:
 
 
 def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a symmetric matrix."""
+    """Descending eigenvalues of a symmetric matrix from outside, which is
+    checked to be square and symmetric."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
@@ -45,8 +46,9 @@ def eigvals_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def spectrum(g: Graph) -> np.ndarray:
-    """Descending adjacency spectrum of a graph."""
-    return eigvals_symmetric(g.adjacency())
+    """Descending adjacency spectrum of a graph: the one-graph case of
+    spectra_batch, since an adjacency matrix is symmetric as built."""
+    return spectra_batch(g.adjacency()[None])[0].copy()
 
 
 def eigensystem(g: Graph) -> tuple[np.ndarray, np.ndarray]:

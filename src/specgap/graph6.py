@@ -4,9 +4,10 @@ graph6 is the line-oriented ASCII format used by the standard small-graph
 collections: a length field N(m) followed by the strict upper triangle of
 the adjacency matrix, column-major, packed 6 bits per printable byte
 (offset 63).  Orders up to 258047 are supported here (1- and 4-byte length
-fields); the 8-byte form is rejected.  decode reads one line; decode_block
-reads a block of file lines of one order byte and width in one numpy pass,
-into the pair-bit matrix of graphs.py.
+fields); the 8-byte form is rejected.  encode and decode read the payload
+as one binary string, first pair first, which reversed is the edge bitset;
+decode_block reads a block of file lines of one order byte and width in
+one numpy pass, into the pair-bit matrix of graphs.py.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ _MAX_ORDER = 258047
 
 _HEADER = HEADER.encode()
 _VALID = bytes(range(63, 127))
-# every 6-bit chunk value with its bits reversed: graph6 puts the first pair
-# of a chunk in its high bit, the edge bitset puts it in the low bit
-_REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+# every payload character to its six pair bits, first pair first
+_SIX = str.maketrans({chr(v + 63): f"{v:06b}" for v in range(64)})
 
 
 class Graph6Error(ValueError):
@@ -45,7 +45,8 @@ class NonzeroPaddingError(Graph6Error):
 
 
 def decode(line: str | bytes) -> Graph:
-    """Parse one graph6 line (optional ``>>graph6<<`` header allowed)."""
+    """Parse one graph6 line (optional ``>>graph6<<`` header allowed); the
+    payload's pairs are read as one binary string, as encode writes them."""
     if isinstance(line, str):
         # non-ASCII text becomes bytes above 127, which the range check rejects
         data = line.encode("utf-8", "surrogatepass")
@@ -83,9 +84,7 @@ def decode(line: str | bytes) -> Graph:
     if len(payload) > n_bytes:
         raise Graph6Error("trailing bytes after graph6 payload")
 
-    bits = 0
-    for byte in reversed(payload):
-        bits = bits << 6 | _REVERSED[byte - 63]
+    bits = int(payload.decode().translate(_SIX)[::-1] or "0", 2)
     if bits >> n_bits:
         raise NonzeroPaddingError("set bit in graph6 padding")
     return Graph(order, bits)

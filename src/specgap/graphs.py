@@ -5,6 +5,8 @@ bit ``pair_index(i, j)`` is set iff the edge {i, j} is present.  Pairs are
 numbered column-major over the strict upper triangle, i.e. (0,1), (0,2),
 (1,2), (0,3), ..., which makes the bitset order-compatible with the graph6
 serialization and lets a vertex-relabeling act as a pure bit permutation.
+from_edges is the one edge-list builder: relabel and the named families
+hand it their edges, and it builds the bitset in one pass.
 
 A batch of same-order graphs travels as its order and its pair-bit
 matrix, one 0/1 row per graph in bitset order: graph6.decode_block builds
@@ -22,6 +24,7 @@ bipartition and detect_complete_multipartite are their one-graph cases.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -99,22 +102,27 @@ class Graph:
 
 
 def from_edges(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    bits = 0
+    """The graph of this order with these edges, in either orientation and
+    repeats allowed, built in one pass: each edge sets its pair's bit in a
+    byte buffer that grows only to the highest pair set, and the buffer
+    becomes the bitset once."""
+    buf = bytearray()
     for i, j in edges:
         if not (0 <= i < order and 0 <= j < order):
             raise ValueError(f"edge ({i}, {j}) out of range for order {order}")
-        bits |= 1 << pair_index(i, j)
-    return Graph(order, bits)
+        p = pair_index(i, j)
+        if p >> 3 >= len(buf):
+            buf.extend(bytes((p >> 3) + 1 - len(buf)))
+        buf[p >> 3] |= 1 << (p & 7)
+    return Graph(order, int.from_bytes(buf, "little"))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the vertex relabeling i -> perm[i]."""
+    """Image of g under the vertex relabeling i -> perm[i], built by
+    from_edges."""
     if sorted(perm) != list(range(g.order)):
         raise ValueError("perm must be a permutation of range(order)")
-    bits = 0
-    for i, j in g.edges():
-        bits |= 1 << pair_index(perm[i], perm[j])
-    return Graph(g.order, bits)
+    return from_edges(g.order, ((perm[i], perm[j]) for i, j in g.edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +160,10 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise InvalidParamsError("parts must be positive integers")
     if len(parts) < 2:
         raise InvalidParamsError("need at least two parts")
-    label = [k for k, p in enumerate(parts) for _ in range(int(p))]
-    m = len(label)
-    return from_edges(m, [(i, j) for j in range(m) for i in range(j)
-                          if label[i] != label[j]])
+    ends = list(itertools.accumulate(map(int, parts)))
+    # each vertex of a part is joined to every vertex before the part
+    return from_edges(ends[-1], ((i, j) for start, end in zip([0] + ends, ends)
+                                 for j in range(start, end) for i in range(start)))
 
 
 def kmm_minus_e(m: int) -> Graph:

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -44,3 +46,22 @@ def census9(census8_path):
     source = census.Graph6Source(census8_path)
     bits = np.concatenate([bits for _, bits, _ in source._batches()])
     return census._extend(8, bits, complete=True)
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds): a context in which code still running after
+    seconds raises TimeoutError."""
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return limit

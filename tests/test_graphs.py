@@ -363,3 +363,50 @@ def test_batch_builders_reject_mixed_orders_and_no_graphs(build):
         build([path(3), cycle(5)])
     with pytest.raises(ValueError, match="at least one graph"):
         build([])
+
+
+def _or_edges(order, edges):
+    # the per-edge reference: OR each edge's pair bit into an int
+    bits = 0
+    for i, j in edges:
+        if not (0 <= i < order and 0 <= j < order):
+            raise ValueError(f"edge ({i}, {j}) out of range for order {order}")
+        bits |= 1 << pair_index(i, j)
+    return Graph(order, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(1, 70), data=st.data())
+def test_from_edges_and_relabel_match_a_per_edge_or(order, data):
+    vertex = st.integers(0, order - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(
+        lambda e: e[0] != e[1]), max_size=80))
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=10)
+                       if edges else st.just([]))  # repeats
+    edges = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in edges]
+    g = from_edges(order, edges)
+    assert g == _or_edges(order, edges)
+    perm = data.draw(st.permutations(range(order)))
+    assert relabel(g, perm) == _or_edges(
+        order, [(perm[i], perm[j]) for i, j in edges])
+    bad = data.draw(st.sampled_from([(0, order), (order + 3, 0), (-1, 0),
+                                     (0, 0), (order - 1, order - 1),
+                                     (order, order)]))  # range error first
+    at = data.draw(st.integers(0, len(edges)))
+    with pytest.raises(ValueError) as want:
+        _or_edges(order, edges[:at] + [bad] + edges[at:])
+    with pytest.raises(ValueError) as got:
+        from_edges(order, edges[:at] + [bad] + edges[at:])
+    assert str(got.value) == str(want.value)
+
+
+def test_dense_builds_are_linear(time_limit):
+    # growing the bitset int one edge at a time took about 30 s for this on
+    # a 2-vCPU Xeon, and a buffer of every pair up front would not fit a
+    # million vertices
+    with time_limit(10):
+        kmm = complete_multipartite([1200, 1200])
+        assert relabel(kmm, range(2399, -1, -1)) == kmm
+    assert kmm.edge_count == 1200 * 1200
+    with time_limit(5):
+        assert from_edges(10 ** 6, [(0, 1)]).bits == 1
