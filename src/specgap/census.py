@@ -26,22 +26,23 @@ The census path is columnar, and there is one of it.  _census_source
 chooses what the CLI and the verify suites read: a Graph6Source over a
 graph6 file, or _Enumeration, the built-in census, its forms decoded
 SOURCE_BLOCK at a time.  Both hand over (order, pair bits, numbers)
-batches.  Graph6Source reads its file in blocks of raw lines and decodes
-a block of one order byte and width in one numpy pass into pair bits
-(graphs.py), one row per graph; other blocks go line by line through
-graph6.decode, so every error keeps its file:line text.  Connectivity is
-decided per block on the pair bits, and _chunks regroups the connected
-rows into chunks of exactly chunk_size graphs.  A census has one order:
-_chunks is the one place that enforces it, raising MixedOrdersError at the
-first graph of a second order, whatever the chunk size (_blocks cuts a
-Graph iterable into one-order blocks for it).  run_census eigensolves
-each chunk in one batch and merges per-chunk moment accumulators in chunk
-order, so a report depends neither on where the batches fall nor on the
-number of threads.  A Graph is built only for a witness label, or for a
-public caller: enumerate_connected, extend_census, a Graph iterable given
-to run_census, or iteration of a Graph6Source.  The verify suites cut the
-same batches with _chunks, for their bound checks and for _census_report,
-and run their blocks in the same ordered thread window, _ordered.
+batches.  Graph6Source reads its file in blocks of raw lines and decodes a
+block of one order byte and width, all LF or all CRLF lines, in one numpy
+pass into pair bits (graphs.py), one row per graph; other blocks go line
+by line through graph6.decode, so every error keeps its file:line text.
+Connectivity is decided per block on the pair bits, and _chunks regroups
+the connected rows into chunks of exactly chunk_size graphs.  A census has
+one order: _chunks is the one place that enforces it, raising
+MixedOrdersError at the first graph of a second order, whatever the chunk
+size (_blocks cuts a Graph iterable into one-order blocks for it).
+run_census eigensolves each chunk in one batch and merges per-chunk moment
+accumulators in chunk order, so a report depends neither on where the
+batches fall nor on the number of threads.  A Graph is built only for a
+witness label, or for a public caller: enumerate_connected, extend_census,
+a Graph iterable given to run_census, or iteration of a Graph6Source.  The
+verify suites cut the same batches with _chunks, for their bound checks
+and for _census_report, and run their blocks in the same ordered thread
+window, _ordered.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _connected_rows, _neighbors,
                      _pair_bits, _to_graphs, pair_count)
 from .graphs import is_connected  # noqa: F401 - the bench tracer patches it here
-from .indices import INDEX_NAMES, IndexStats, _require_signs, index_table
+from .indices import INDEX_NAMES, IndexStats, indices_batch
 
 log = logging.getLogger(__name__)
 
@@ -362,15 +363,15 @@ class Graph6Source:
     """Iterable over the connected graphs of a graph6 file.
 
     The file is read in blocks of SOURCE_BLOCK lines; a block of one order
-    byte and width is decoded columnar (graph6.decode_block), any other
-    line by line with graph6.decode.  Connectivity is decided per block,
-    and the connected graphs come out in file order: as Graphs when
-    iterated, as pair-bit batches to run_census.  Disconnected entries are
-    skipped and counted in rejected_disconnected; when iterated, read and
-    rejected_disconnected count up as graphs are yielded, so at each yield
-    read is the yielded graph's number in the file.  Malformed lines raise
-    Graph6FileError with the file name and line number, before the rest of
-    their block is yielded.
+    byte and width, all LF or all CRLF lines, is decoded columnar
+    (graph6.decode_block), any other line by line with graph6.decode.
+    Connectivity is decided per block, and the connected graphs come out in
+    file order: as Graphs when iterated, as pair-bit batches to run_census.
+    Disconnected entries are skipped and counted in rejected_disconnected;
+    when iterated, read and rejected_disconnected count up as graphs are
+    yielded, so at each yield read is the yielded graph's number in the file.
+    Malformed lines raise Graph6FileError with the file name and line number,
+    before the rest of their block is yielded.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -506,10 +507,10 @@ class CensusReport:
 def _chunk_payload(m: int, bits: np.ndarray, zero_tol: float | None):
     """The order of a chunk and the IndexStats and Histogram of each index
     over its graphs; a degenerate spectrum raises, naming its graph."""
-    per_index = index_table(eigen.spectra_batch(_adjacency(m, bits)), zero_tol)
     witness = functools.cache(
         lambda i: graph6.encode(_to_graphs(m, bits[i:i + 1])[0]))
-    _require_signs(per_index, lambda row: f"graph {witness(row)}")
+    per_index = indices_batch(eigen.spectra_batch(_adjacency(m, bits)), zero_tol,
+                              lambda row: f"graph {witness(row)}")
     stats = {name: IndexStats() for name in INDEX_NAMES}
     hists = {name: Histogram() for name in INDEX_NAMES}
     for name in INDEX_NAMES:
@@ -634,6 +635,8 @@ def extremal(source: Iterable[Graph], index: str, direction: str,
              zero_tol: float | None = None, threads: int = 1) -> ExtremalResult:
     """Extreme value of one index over a source, with graph6 witnesses;
     the census runs on threads threads, as in run_census."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if index not in INDEX_NAMES:
         raise ValueError(f"unknown index {index!r}; expected one of {INDEX_NAMES}")
     if direction not in ("min", "max"):

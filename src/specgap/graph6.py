@@ -6,8 +6,8 @@ the adjacency matrix, column-major, packed 6 bits per printable byte
 (offset 63).  Orders up to 258047 are supported here (1- and 4-byte length
 fields); the 8-byte form is rejected.  encode and decode read the payload
 as one binary string, first pair first, which reversed is the edge bitset;
-decode_block reads a block of file lines of one order byte and width in
-one numpy pass, into the pair-bit matrix of graphs.py.
+decode_block reads a block of file lines (all LF or all CRLF) of one order
+byte and width in one numpy pass, into the pair-bit matrix of graphs.py.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def decode(line: str | bytes) -> Graph:
 def decode_block(lines: Sequence[bytes]) -> tuple[int, np.ndarray] | None:
     """The order and (n, pair_count(order)) pair-bit matrix of n >= 1 raw
     file lines (as iterating a binary file gives them), each one short-form
-    graph6 graph ending in a newline, all with one order byte and width.
-    None if any line breaks that form or fails a check that decode makes;
-    the caller then decodes the lines one by one."""
+    graph6 graph, all with one order byte and width, and all ending in LF
+    or all in CRLF.  None if any line breaks that form or fails a check
+    that decode makes; the caller then decodes the lines one by one."""
     n, width = len(lines), len(lines[0])
     data = b"".join(lines)
     order = data[0] - 63
@@ -104,9 +104,10 @@ def decode_block(lines: Sequence[bytes]) -> tuple[int, np.ndarray] | None:
     n_bits = pair_count(order)
     n_bytes = (n_bits + 5) // 6
     rows = np.frombuffer(data, np.uint8).reshape(n, width)
-    payload = rows[:, 1:-1]
-    # a last column of newlines means every line is exactly width long
-    if (width != n_bytes + 2 or (rows[:, -1] != 10).any()
+    payload = rows[:, 1:1 + n_bytes]
+    # LF or CRLF in the last columns means every line is exactly width long
+    if (width - n_bytes not in (2, 3) or (rows[:, -1] != 10).any()
+            or (rows[:, 1 + n_bytes:-1] != 13).any()
             or (rows[:, 0] != data[0]).any()
             or ((payload < 63) | (payload > 126)).any()):
         return None

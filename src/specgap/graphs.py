@@ -15,10 +15,12 @@ such a list is non-empty and of one order).  Every array of a batch is
 built from its pair bits here: adjacency stacks, and the (n, m) neighbor
 masks of _neighbors, one per graph and vertex in the narrowest unsigned
 word that holds m bits (uint8 up to 8 vertices, then uint16, uint32 and
-uint64, Python ints beyond 64), which census ingestion, extension and
-verify all read.  The structure tests run on those masks, each step over
-the whole batch (_connected_rows, _bipartite_rows, _multipartite_rows);
-bipartition and detect_complete_multipartite are their one-graph cases.
+uint64; beyond 64, Python ints, each its packed adjacency row), which
+census ingestion, extension and verify all read.  The structure tests run
+on those masks, each step over the whole batch (_connected_rows,
+_bipartite_rows, _multipartite_rows).  Every per-graph structure call
+(Graph.edges, neighbor_masks and degrees, is_connected, bipartition and
+detect_complete_multipartite) is the one-graph case of these arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,14 +49,6 @@ def pair_index(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
-
-
-def _bits_of(mask: int) -> Iterator[int]:
-    # yield set-bit positions, lowest first
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
 
 
 @dataclass(frozen=True)
@@ -78,17 +72,15 @@ class Graph:
         return bool((self.bits >> pair_index(i, j)) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges (i, j) with i < j, in bitset order."""
-        return [(i, j) for j in range(1, self.order)
-                for i in _bits_of((self.bits >> pair_count(j)) & ((1 << j) - 1))]
+        """Edges (i, j), i < j, in bitset order: the batch's set pair columns."""
+        m, bits = _pair_bits([self])
+        ju, iu = _pairs(m)
+        cols = np.flatnonzero(bits[0])
+        return list(zip(iu[cols].tolist(), ju[cols].tolist()))
 
     def neighbor_masks(self) -> list[int]:
-        """Per-vertex neighbor sets as bitmasks over vertex indices."""
-        nb = [0] * self.order
-        for i, j in self.edges():
-            nb[i] |= 1 << j
-            nb[j] |= 1 << i
-        return nb
+        """Per-vertex neighbor bitmasks: the one-graph case of _neighbors."""
+        return _neighbors(*_pair_bits([self]))[0].tolist()
 
     def degrees(self) -> list[int]:
         return [mask.bit_count() for mask in self.neighbor_masks()]
@@ -193,15 +185,8 @@ def kmm_plus_e(m: int) -> Graph:
 # structure tests
 
 def is_connected(g: Graph) -> bool:
-    nb = g.neighbor_masks()
-    visited = frontier = 1
-    while frontier:
-        step = 0
-        for i in _bits_of(frontier):
-            step |= nb[i]
-        frontier = step & ~visited
-        visited |= frontier
-    return visited == (1 << g.order) - 1
+    """Whether g is connected: the one-graph case of _connected_rows."""
+    return bool(_connected_rows(*_pair_bits([g]))[0])
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -220,9 +205,10 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
 def detect_complete_multipartite(g: Graph) -> tuple[int, ...] | None:
     """Part sizes (ascending) if g is complete multipartite with >= 2 parts,
     else None; vertex v lies in a part of m - deg(v) vertices."""
-    if not _multipartite_rows(_neighbors(*_pair_bits([g])))[0]:
+    nb = _neighbors(*_pair_bits([g]))
+    if not _multipartite_rows(nb)[0]:
         return None
-    sizes = [g.order - d for d in g.degrees()]
+    sizes = [g.order - mask.bit_count() for mask in nb[0].tolist()]
     return tuple(s for s in sorted(set(sizes))
                  for _ in range(sizes.count(s) // s))
 
@@ -276,18 +262,18 @@ def _adjacency(m: int, bits: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _incidence(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex v of order m, as (m, m - 1) tables over the other
+    """Per vertex v of order m <= 64, as (m, m - 1) tables over the other
     vertices u: the pair column of {u, v}, and u's bit in v's neighbor
-    mask, in the narrowest unsigned word that holds m bits (Python ints
-    beyond 64); computed once per order and read-only, since callers
-    share them."""
+    mask, in the narrowest unsigned word that holds m bits; computed once
+    per order and read-only, since callers share them."""
     k, v = np.arange(m - 1), np.arange(m)[:, None]
     other = k + (k >= v)
     hi, lo = np.maximum(other, v), np.minimum(other, v)
-    word = next((w for w in (np.uint8, np.uint16, np.uint32, np.uint64)
-                 if m <= np.iinfo(w).bits), object)
+    word = next(w for w in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if m <= np.iinfo(w).bits)
     columns = hi * (hi - 1) // 2 + lo
-    weights = (1 << other.astype(object)).astype(word)
+    # shifting a one of the word itself keeps bit 63 exact at 64 vertices
+    weights = word(1) << other.astype(word)
     columns.flags.writeable = weights.flags.writeable = False
     return columns, weights
 
@@ -295,9 +281,14 @@ def _incidence(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _neighbors(m: int, bits: np.ndarray) -> np.ndarray:
     """The (n, m) neighbor masks of a batch: entry [g, v] has bit u set iff
     u and v are adjacent in graph g, in the narrowest unsigned word that
-    holds m bits (Python ints beyond 64).  Each mask gathers its vertex's
-    m - 1 pair columns, each weighted by the other endpoint's bit; the
-    weights are distinct powers of two, so their sum is exact."""
+    holds m bits.  Up to 64 vertices each mask gathers its vertex's m - 1
+    pair columns, each weighted by the other endpoint's bit; the weights
+    are distinct powers of two, so their sum is exact.  Past 64 a mask is
+    a Python int: its vertex's adjacency row, packed little-endian."""
+    if m > 64:
+        rows = np.packbits(_adjacency(m, bits) != 0, axis=2, bitorder="little")
+        return np.array([[int.from_bytes(row, "little") for row in graph]
+                         for graph in rows], object).reshape(len(bits), m)
     columns, weights = _incidence(m)
     return (bits[:, columns] * weights).sum(2, dtype=weights.dtype)
 

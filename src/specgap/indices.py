@@ -120,11 +120,13 @@ def _require_signs(table: dict[str, np.ndarray],
         f"{name(int(bad[0]))}: spectrum lacks eigenvalues of both signs")
 
 
-def indices_batch(vals_desc: np.ndarray, zero_tol: float | None = None
+def indices_batch(vals_desc: np.ndarray, zero_tol: float | None = None,
+                  name: Callable[[int], str] = lambda row: f"row {row}"
                   ) -> dict[str, np.ndarray]:
-    """index_table of a chunk, which must hold no degenerate row."""
+    """index_table of a chunk, which must hold no degenerate row; the
+    error names the first degenerate row by name(row)."""
     table = index_table(vals_desc, zero_tol)
-    _require_signs(table, lambda row: f"row {row}")
+    _require_signs(table, name)
     return table
 
 

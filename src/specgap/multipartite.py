@@ -37,7 +37,7 @@ from . import eigen, graph6
 from .graphs import (Graph, _adjacency, _bfs, _multipartite_rows, _neighbors,
                      _pair_bits, _to_graphs, _unpack)
 from .graphs import detect_complete_multipartite  # noqa: F401 - re-exported
-from .indices import SpectralIndices, _require_signs, index_rows, index_table
+from .indices import SpectralIndices, index_rows, index_table, indices_batch
 
 # constants of the connected-graph count approximation (anchored at order 9)
 APPROX_ANCHOR_COUNT = 261080.0
@@ -484,8 +484,7 @@ def _nonmultipartite_columns(m: int, bits: np.ndarray) -> tuple:
     why[_bfs(nb)[0] != (1 << m) - 1] = "graph is not connected"
     applies = bits[why == ""]
     vals = _spectra(m, applies)
-    table = index_table(vals)
-    _require_signs(table, lambda row: "graph " + graph6.encode(
+    table = indices_batch(vals, name=lambda row: "graph " + graph6.encode(
         _to_graphs(m, applies[row:row + 1])[0]))
     if m % 2 == 0:
         gap_bound, ind_bound = m - 1.0, m / 2.0

@@ -589,9 +589,9 @@ def _malformed(line, defect):
 def _graph6_files(draw):
     """The bytes of a graph6 file: runs of graphs of orders 1-13 and at most
     one run of order 65 (long-form order field), with blank lines, headers
-    on their own or before a graph, CRLF endings, at most one malformed
-    line or line of another order inside a run, and maybe no final
-    newline."""
+    on their own or before a graph, LF or CRLF endings with up to two lines
+    ending in the other, at most one malformed line or line of another
+    order inside a run, and maybe no final newline."""
     orders = draw(st.lists(st.integers(1, 13), min_size=1, max_size=4))
     if draw(st.booleans()):
         orders.insert(draw(st.integers(0, len(orders))), 65)
@@ -610,14 +610,15 @@ def _graph6_files(draw):
             lines[k] = graph6.encode(path(m % 13 + 1)).encode()
         else:
             lines[k] = _malformed(lines[k], defect)
-    ends = [b"\n"] * len(lines)
+    eol, other = draw(st.permutations([b"\n", b"\r\n"]))
+    ends = [eol] * len(lines)
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, len(lines)))
         extra = draw(st.sampled_from([b"", b">>graph6<<", b"  "]))
         lines.insert(k, extra)
-        ends.insert(k, b"\n")
+        ends.insert(k, eol)
     for k in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
-        ends[k] = b"\r\n"
+        ends[k] = other
     if draw(st.integers(0, 2)) == 0:
         k = draw(st.integers(0, len(lines) - 1))
         if not lines[k].startswith(b">"):
@@ -664,6 +665,43 @@ def test_graph6_source_decodes_uniform_blocks_without_decode(tmp_path,
     src = Graph6Source(f)
     got = [(g, src.read, src.rejected_disconnected) for g in src]
     assert (got, src.read, src.rejected_disconnected, None) == want
+
+
+def test_graph6_source_decodes_crlf_blocks_without_decode(tmp_path,
+                                                          census8_path,
+                                                          monkeypatch):
+    # a file of CRLF lines reads as the same blocks as its LF original
+    with open(census8_path, "rb") as fh:
+        lf = fh.read()
+    crlf = tmp_path / "crlf.g6"
+    crlf.write_bytes(lf.replace(b"\n", b"\r\n"))
+    want = list(Graph6Source(census8_path)._batches())
+    decoded = []
+    decode = graph6.decode
+    monkeypatch.setattr(graph6, "decode",
+                        lambda line: decoded.append(line) or decode(line))
+    got = list(Graph6Source(crlf)._batches())
+    assert decoded == []
+    assert len(got) == len(want) > 1
+    for (m, bits, reads), (m0, bits0, reads0) in zip(got, want):
+        assert m == m0 == 8
+        assert np.array_equal(bits, bits0) and np.array_equal(reads, reads0)
+
+
+def test_graph6_source_crlf_bad_byte_names_its_line(tmp_path, census8_path):
+    with open(census8_path, "rb") as fh:
+        lines = fh.read().splitlines()[:100]
+    lines[56] = lines[56][:-1] + b"\x19"
+    f = tmp_path / "bad.g6"
+    f.write_bytes(b"".join(line + b"\r\n" for line in lines))
+    with pytest.raises(Graph6FileError) as err:
+        list(Graph6Source(f))
+    assert str(err.value) == f"{f}:57: byte 25 outside graph6 range 63..126"
+    # a trailing byte on every line stands where a CR would; it ends no line
+    f.write_bytes(b"".join(line + b"?\n" for line in lines))
+    with pytest.raises(Graph6FileError) as err:
+        list(Graph6Source(f))
+    assert str(err.value) == f"{f}:1: trailing bytes after graph6 payload"
 
 
 @settings(max_examples=40, deadline=None)
@@ -1043,6 +1081,8 @@ def test_extremal_validation(census4):
         extremal(census4, "nope", "min")
     with pytest.raises(ValueError):
         extremal(census4, "gap", "sideways")
+    with pytest.raises(ValueError, match="^threads must be at least 1$"):
+        extremal(census4, "gap", "max", threads=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Bitset graph type, constructors and structure predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,9 +316,9 @@ def test_mask_tests_at_the_word_width_edges(order, data):
     assert nb.dtype == next((np.dtype(w) for b, w in widths.items()
                              if order <= b), np.dtype(object))
     assert nb.shape == (len(batch), order)
-    assert [list(map(int, row)) for row in nb] == [g.neighbor_masks()
+    assert [list(map(int, row)) for row in nb] == [_loop_masks(g)
                                                    for g in batch]
-    assert graphs._connected_rows(m, bits).tolist() == [is_connected(g)
+    assert graphs._connected_rows(m, bits).tolist() == [_loop_connected(g)
                                                         for g in batch]
     bipartite, even = graphs._bipartite_rows(m, bits)
     for g, bip, side in zip(batch, bipartite.tolist(), even.tolist()):
@@ -410,3 +412,90 @@ def test_dense_builds_are_linear(time_limit):
     assert kmm.edge_count == 1200 * 1200
     with time_limit(5):
         assert from_edges(10 ** 6, [(0, 1)]).bits == 1
+
+
+# ---------------------------------------------------------------------------
+# the per-graph calls against the per-edge loops and the BFS they replaced
+
+
+def _set_bits(mask):
+    # set-bit positions, lowest first
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask &= mask - 1
+
+
+def _loop_edges(g):
+    return [(i, j) for j in range(1, g.order)
+            for i in _set_bits((g.bits >> pair_count(j)) & ((1 << j) - 1))]
+
+
+def _loop_masks(g):
+    nb = [0] * g.order
+    for i, j in _loop_edges(g):
+        nb[i] |= 1 << j
+        nb[j] |= 1 << i
+    return nb
+
+
+def _loop_connected(g):
+    nb = _loop_masks(g)
+    visited = frontier = 1
+    while frontier:
+        step = 0
+        for i in _set_bits(frontier):
+            step |= nb[i]
+        frontier = step & ~visited
+        visited |= frontier
+    return visited == (1 << g.order) - 1
+
+
+def _random_graph(data, order):
+    # sparse densities too, where large graphs fall apart
+    density = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 0.1)
+                        | st.floats(0, 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    bits = np.packbits(rng.random(pair_count(order)) < density,
+                       bitorder="little")
+    return Graph(order, int.from_bytes(bits.tobytes(), "little"))
+
+
+# orders 63-65 on both sides of the last numpy mask word
+@settings(max_examples=100, deadline=None)
+@given(order=st.sampled_from([63, 64, 65]) | st.integers(1, 130),
+       data=st.data())
+def test_per_graph_structure_matches_the_loops_it_replaced(order, data):
+    g = _random_graph(data, order)
+    masks = _loop_masks(g)
+    assert g.edges() == _loop_edges(g)
+    assert g.neighbor_masks() == masks
+    assert g.degrees() == [mask.bit_count() for mask in masks]
+    assert is_connected(g) is _loop_connected(g)
+    m = data.draw(st.integers(60, 70))
+    batch = [_random_graph(data, m) for _ in range(3)]
+    nb = graphs._neighbors(*graphs._pair_bits(batch))
+    assert [list(map(int, row)) for row in nb] == [_loop_masks(h)
+                                                   for h in batch]
+
+
+def test_structure_of_a_large_graph_is_fast_and_lean(time_limit):
+    # Python-int weights per pair made K_{600,600}'s bipartition peak at
+    # 273 MB under tracemalloc, and a per-edge loop built every mask
+    kmm = complete_multipartite([1200, 1200])
+    halves = (tuple(range(1200)), tuple(range(1200, 2400)))
+    with time_limit(10):
+        assert bipartition(kmm) == halves
+    with time_limit(10):
+        assert is_connected(kmm)
+    with time_limit(10):
+        masks = kmm.neighbor_masks()
+    assert masks == [((1 << 1200) - 1) << 1200] * 1200 + [(1 << 1200) - 1] * 1200
+    half = complete_multipartite([600, 600])
+    tracemalloc.start()
+    try:
+        assert bipartition(half) == (tuple(range(600)), tuple(range(600, 1200)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6

@@ -95,6 +95,10 @@ def test_degenerate_messages():
     with pytest.raises(DegenerateSpectrumError,
                        match="^row 1: spectrum lacks eigenvalues of both signs$"):
         indices_batch(np.array([[1.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(DegenerateSpectrumError,
+                       match="^graph 1: spectrum lacks eigenvalues of both signs$"):
+        indices_batch(np.array([[1.0, -1.0], [1.0, 0.0]]),
+                      name=lambda row: f"graph {row}")
 
 
 def test_index_rows_of_selected_rows():
