@@ -50,6 +50,8 @@ from specgap.graphs import (
 )
 from specgap.indices import DegenerateSpectrumError, compute_indices
 
+from loop_reference import loop_connected
+
 
 def test_known_counts_table():
     assert KNOWN_CONNECTED_COUNTS == {
@@ -254,7 +256,7 @@ def test_enumeration_is_the_canonical_connected_set(m):
     if m <= 5:
         assert set(bits) == {
             _oracle(m, b) for b in range(1 << pair_count(m))
-            if is_connected(Graph(m, b))
+            if loop_connected(Graph(m, b))
         }
     else:  # distinct canonical connected classes, as many as there are
         assert len(bits) == KNOWN_CONNECTED_COUNTS[m]
@@ -371,7 +373,8 @@ def test_enumeration_searches_few_candidates(monkeypatch):
 
 def test_search_calls_stay_within_one_block(census7, monkeypatch):
     # a block of parents holds under EXTEND_BLOCK + 2**m - 1 candidates (one
-    # parent's attach sets), and only its survivors share a search call
+    # parent's attach sets), and _chunks regroups what the blocks keep into
+    # search calls of at most EXTEND_BLOCK rows
     calls = []
     search = census._canonical_forms
 
@@ -385,6 +388,75 @@ def test_search_calls_stay_within_one_block(census7, monkeypatch):
     extend_census([census7[i] for i in sample])
     assert {m for m, _ in calls} == set(range(1, 8))
     assert all(rows <= census.EXTEND_BLOCK + 2**m - 2 for m, rows in calls)
+
+
+def _search_calls(monkeypatch):
+    """Per _extend call, the row counts of its refinement searches."""
+    calls = []
+    search, extend = census._canonical_forms, census._extend
+
+    def recorded(order, bits):
+        if calls:
+            calls[-1].append(len(bits))
+        return search(order, bits)
+
+    def extended(m, parents, complete):
+        calls.append([])
+        return extend(m, parents, complete)
+
+    monkeypatch.setattr(census, "_canonical_forms", recorded)
+    monkeypatch.setattr(census, "_extend", extended)
+    return calls
+
+
+@pytest.mark.parametrize("block, m", [(7, 7), (64, 8), (2048, 8)])
+def test_extension_searches_full_blocks(block, m, census7, monkeypatch):
+    # chunks of exactly EXTEND_BLOCK rows straddle the pruning blocks; only
+    # each extension's last search call is short
+    monkeypatch.setattr(census, "EXTEND_BLOCK", block)
+    calls = _search_calls(monkeypatch)
+    enumerate_connected(m)
+    sample = np.random.default_rng(90125).choice(853, 32, replace=False)
+    extend_census([census7[i] for i in sample])
+    assert len(calls) == m
+    for sizes in calls:
+        assert sizes and all(rows == block for rows in sizes[:-1])
+        assert 0 < sizes[-1] <= block
+    # as many searches as test_enumeration_searches_few_candidates counts
+    assert sum(map(sum, calls[:-1])) == {7: 1685, 8: 21114}[m]
+
+
+def test_extend_census_of_a_sample_searches_no_parent(census7, monkeypatch):
+    # 32 order-7 graphs cannot be the census of 853 classes: no search of
+    # order 7 decides that
+    orders = []
+    search = census._canonical_forms
+
+    def recorded(order, bits):
+        orders.append(order)
+        return search(order, bits)
+
+    monkeypatch.setattr(census, "_canonical_forms", recorded)
+    sample = np.random.default_rng(90125).choice(853, 32, replace=False)
+    extend_census([census7[i] for i in sample])
+    assert orders and set(orders) == {8}
+
+
+# blocks of one row took 1-3 s at order 6 -> 7 and 13-61 s at 7 -> 8, of
+# seven rows 2-7 s at 7 -> 8
+_BLOCKS = {4: (1, 7, 64, 4096), 5: (1, 7, 64, 4096), 6: (7, 64, 4096),
+           7: (64, 4096)}
+
+
+@pytest.mark.parametrize("complete", [True, False])
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_extension_forms_do_not_depend_on_the_block(m, complete, monkeypatch):
+    _, bits = _pair_bits(enumerate_connected(m))
+    want = census._extend(m, bits, complete)
+    for block in _BLOCKS[m]:
+        monkeypatch.setattr(census, "EXTEND_BLOCK", block)
+        got = census._extend(m, bits, complete)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]), block
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -472,6 +544,19 @@ def test_order9_census_holds_every_sampled_connected_graph(census9):
     assert len(bits) == 57878
     sampled = census._canonical_forms(9, bits)
     assert np.isin(sampled, forms).all()
+
+
+def test_form_bits_of_strided_and_foreign_forms():
+    # a strided view and big-endian or uint64 forms decode as their copies
+    rng = np.random.default_rng(9)
+    forms = rng.integers(0, 1 << 36, size=300, dtype=np.int64)
+    want = census._form_bits(9, forms[::7].copy())
+    assert want.shape == (43, 36)
+    assert np.array_equal(census._form_bits(9, forms[::7]), want)
+    assert np.array_equal(census._form_bits(9, forms.astype(">i8")[::7]), want)
+    assert np.array_equal(census._form_bits(9, forms.astype(np.uint64)[::7]), want)
+    for form, row in zip(forms[::7].tolist(), want):
+        assert row.tolist() == [form >> b & 1 for b in range(36)]
 
 
 def test_committed_census8(census8_path):
@@ -565,7 +650,7 @@ def _per_line_reference(path):
             except graph6.Graph6Error as exc:
                 return out, read, rejected, f"{path}:{lineno}: {exc}"
             read += 1
-            if is_connected(g):
+            if loop_connected(g):
                 out.append((g, read, rejected))
             else:
                 rejected += 1
@@ -776,20 +861,22 @@ def test_graph6_source_block_edges(tmp_path, lines):
 @settings(max_examples=60, deadline=None)
 @given(order=st.integers(1, 13) | st.just(65), data=st.data())
 def test_block_connectivity_matches_is_connected(order, data):
-    # order 65 takes Python-int neighbor masks, the others uint64
+    # order 65 takes Python-int neighbor masks, the others uint64; the
+    # reference is the loop BFS, since is_connected is a one-graph batch
     n = pair_count(order)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
                                max_size=40))
     graphs = [Graph(order, b) for b in masks]
     got = _connected_rows(*_pair_bits(graphs))
-    assert got.tolist() == [is_connected(g) for g in graphs]
+    assert got.tolist() == [loop_connected(g) for g in graphs]
+    assert [is_connected(g) for g in graphs] == got.tolist()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_block_connectivity_exhaustive_small_orders(order):
     graphs = [Graph(order, b) for b in range(1 << pair_count(order))]
     got = _connected_rows(*_pair_bits(graphs))
-    assert got.tolist() == [is_connected(g) for g in graphs]
+    assert got.tolist() == [loop_connected(g) for g in graphs]
 
 
 def test_graph6_source_past_the_mask_cut_checks_each_graph(tmp_path):

@@ -26,6 +26,8 @@ from specgap.graphs import (
     star,
 )
 
+from loop_reference import loop_connected, loop_edges, loop_masks
+
 
 def test_pair_indexing():
     assert pair_count(1) == 0
@@ -316,9 +318,9 @@ def test_mask_tests_at_the_word_width_edges(order, data):
     assert nb.dtype == next((np.dtype(w) for b, w in widths.items()
                              if order <= b), np.dtype(object))
     assert nb.shape == (len(batch), order)
-    assert [list(map(int, row)) for row in nb] == [_loop_masks(g)
+    assert [list(map(int, row)) for row in nb] == [loop_masks(g)
                                                    for g in batch]
-    assert graphs._connected_rows(m, bits).tolist() == [_loop_connected(g)
+    assert graphs._connected_rows(m, bits).tolist() == [loop_connected(g)
                                                         for g in batch]
     bipartite, even = graphs._bipartite_rows(m, bits)
     for g, bip, side in zip(batch, bipartite.tolist(), even.tolist()):
@@ -415,40 +417,8 @@ def test_dense_builds_are_linear(time_limit):
 
 
 # ---------------------------------------------------------------------------
-# the per-graph calls against the per-edge loops and the BFS they replaced
-
-
-def _set_bits(mask):
-    # set-bit positions, lowest first
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
-def _loop_edges(g):
-    return [(i, j) for j in range(1, g.order)
-            for i in _set_bits((g.bits >> pair_count(j)) & ((1 << j) - 1))]
-
-
-def _loop_masks(g):
-    nb = [0] * g.order
-    for i, j in _loop_edges(g):
-        nb[i] |= 1 << j
-        nb[j] |= 1 << i
-    return nb
-
-
-def _loop_connected(g):
-    nb = _loop_masks(g)
-    visited = frontier = 1
-    while frontier:
-        step = 0
-        for i in _set_bits(frontier):
-            step |= nb[i]
-        frontier = step & ~visited
-        visited |= frontier
-    return visited == (1 << g.order) - 1
+# the per-graph calls against the per-edge loops and the BFS they replaced,
+# kept in loop_reference.py
 
 
 def _random_graph(data, order):
@@ -467,15 +437,15 @@ def _random_graph(data, order):
        data=st.data())
 def test_per_graph_structure_matches_the_loops_it_replaced(order, data):
     g = _random_graph(data, order)
-    masks = _loop_masks(g)
-    assert g.edges() == _loop_edges(g)
+    masks = loop_masks(g)
+    assert g.edges() == loop_edges(g)
     assert g.neighbor_masks() == masks
     assert g.degrees() == [mask.bit_count() for mask in masks]
-    assert is_connected(g) is _loop_connected(g)
+    assert is_connected(g) is loop_connected(g)
     m = data.draw(st.integers(60, 70))
     batch = [_random_graph(data, m) for _ in range(3)]
     nb = graphs._neighbors(*graphs._pair_bits(batch))
-    assert [list(map(int, row)) for row in nb] == [_loop_masks(h)
+    assert [list(map(int, row)) for row in nb] == [loop_masks(h)
                                                    for h in batch]
 
 
